@@ -6,8 +6,7 @@
 Run from the repository root. The first run configures and builds the
 library sources under src/ together with the benchmark (perfbench/src/) into
 $CARGO_TARGET_DIR/perfbench (default .bench_build/perfbench); later runs only
-rebuild what changed. The binary's settings for each workload come from
-perfbench/config.json. Everything the binary prints goes through; its last
+rebuild what changed. Everything the binary prints goes through; its last
 line, the result object, is printed last and only after its metric names and
 units were checked against BENCHMARK.json (end_to_end with --trace 0,
 per_layer with --trace 1). Each result is also appended, with the core count,
@@ -80,15 +79,10 @@ def main():
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         benchmark = json.load(f)
-    with open(os.path.join(HERE, "config.json")) as f:
-        config = json.load(f)["workloads"]
-    if args.workload not in config:
-        fail("unknown workload %r (have %s)" % (args.workload, ", ".join(sorted(config))))
 
     binary = build()
     command = [binary, "--workload=" + args.workload, "--seed=%d" % args.seed,
                "--seconds=%d" % args.seconds, "--trace=%d" % args.trace]
-    command += ["--%s=%s" % (k, v) for k, v in sorted(config[args.workload].items())]
     process = subprocess.Popen(command, cwd=ROOT, stdout=subprocess.PIPE, text=True)
     timed_out = threading.Event()
 

@@ -103,6 +103,21 @@ inline double Quantile(std::vector<double> values, double q) {
 }
 inline double Median(std::vector<double> values) { return Quantile(std::move(values), 0.5); }
 
+// Median over consecutive windows of at least `window` values of each
+// window's q-quantile: a slow spell of the host inflates one window instead
+// of the whole measurement.
+inline double WindowedQuantile(const std::vector<double>& values, double q, size_t window) {
+  const size_t n = values.size();
+  const size_t windows = std::max<size_t>(1, n / window);
+  std::vector<double> per_window;
+  for (size_t w = 0; w < windows; ++w) {
+    per_window.push_back(Quantile(
+        std::vector<double>(values.begin() + w * n / windows, values.begin() + (w + 1) * n / windows),
+        q));
+  }
+  return Median(per_window);
+}
+
 // FNV-1a over bytes, for the printed row and response checksums.
 inline uint64_t Fnv1a(const char* data, size_t size, uint64_t hash = 1469598103934665603ull) {
   for (size_t i = 0; i < size; ++i) {
@@ -117,9 +132,6 @@ inline uint64_t Fnv1a(const std::string& bytes, uint64_t hash = 1469598103934665
 
 // Peak resident set of this process, in MiB.
 double PeakRssMb();
-
-// Set-ups per untraced run; setup_s is their median.
-constexpr int kSetups = 5;
 
 // What one run prints: named metrics with units, plus the operation counts
 // and the correctness verdict of the result line.

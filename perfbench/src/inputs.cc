@@ -26,6 +26,10 @@ void DeclareClasses(hw::ClusterSpec* spec) {
   for (const GpuClass& c : kClasses) spec->AddGpuClass(c.name, c.tflops, c.memory_gib);
 }
 
+void Shuffle(Rng& rng, std::vector<int>* values) {
+  for (size_t i = values->size(); i > 1; --i) std::swap((*values)[i - 1], (*values)[rng.Next() % i]);
+}
+
 double Knob(Rng& rng, double lo, double hi) {
   // Six decimals keep thousands of generated specs distinct.
   const double v = lo + (hi - lo) * rng.Uniform();
@@ -113,7 +117,11 @@ serve::PlanRequest MakeColdRequest(uint64_t seed, int index) {
   // The request's shape cycles through a fixed list, so every seed offers
   // the same mix of search tiers and worker sizes; the seed picks the GPU
   // classes, links, racks and placement. Exact shapes keep at most 90
-  // distinct GPU orders; beam and hierarchical ones have 8! or more.
+  // distinct GPU orders; beam and hierarchical ones have 8! or more. The
+  // worker's nodes take a fixed multiset of classes (node j of the worker
+  // class j mod 4, under a seeded relabelling and order): the number of
+  // distinct classes in the worker sets what the search costs, and drawing
+  // it freely made the cost mix, and every latency, swing between seeds.
   struct Shape {
     bool racked;
     int per_node, nodes, span, take;
@@ -135,17 +143,25 @@ serve::PlanRequest MakeColdRequest(uint64_t seed, int index) {
   const int span = shape.span;
   const int take = shape.take;
   const int offset = rng.Int(0, nodes - 1);
-  std::vector<bool> in_vw(static_cast<size_t>(nodes), false);
+  std::vector<int> labels(kNumClasses), vw_class(static_cast<size_t>(nodes), -1);
+  for (int c = 0; c < kNumClasses; ++c) labels[static_cast<size_t>(c)] = c;
+  Shuffle(rng, &labels);
+  std::vector<int> order(static_cast<size_t>(span));
+  for (int j = 0; j < span; ++j) order[static_cast<size_t>(j)] = j;
+  Shuffle(rng, &order);
   for (int j = 0; j < span; ++j) {
-    in_vw[static_cast<size_t>((offset + j * nodes / span) % nodes)] = true;
+    vw_class[static_cast<size_t>((offset + j * nodes / span) % nodes)] =
+        labels[static_cast<size_t>(order[static_cast<size_t>(j)] % kNumClasses)];
   }
 
   // Per node: its classes. Mixed nodes have two groups of two; a whole-node
   // exact worker keeps its nodes homogeneous so its order count stays small.
   std::vector<std::vector<std::pair<std::string, int>>> groups(static_cast<size_t>(nodes));
   for (int node = 0; node < nodes; ++node) {
-    const std::string a = kClasses[rng.Int(0, kNumClasses - 1)].name;
-    const bool may_mix = per_node == 4 && !(take == 4 && in_vw[static_cast<size_t>(node)]);
+    const bool in_vw = vw_class[static_cast<size_t>(node)] >= 0;
+    const std::string a =
+        kClasses[in_vw ? vw_class[static_cast<size_t>(node)] : rng.Int(0, kNumClasses - 1)].name;
+    const bool may_mix = per_node == 4 && !(take == 4 && in_vw);
     if (may_mix && rng.Int(0, 3) == 0) {
       std::string b = kClasses[rng.Int(0, kNumClasses - 1)].name;
       if (b == a) b = kClasses[(rng.Int(1, kNumClasses - 1) + (a[2] - 'A')) % kNumClasses].name;

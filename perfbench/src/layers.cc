@@ -233,8 +233,8 @@ void RunLayerPass(const LayerInputs& inputs, double seconds, Tracer* tracer, Rep
 }
 
 TracedSweepResult TracedSweep(const std::vector<std::vector<core::Experiment>>& jobs,
-                              runner::ThreadPool* pool, const std::string& hds_path,
-                              Tracer* tracer, Report* report) {
+                              runner::ThreadPool* pool, bool cold,
+                              const std::string& hds_path, Tracer* tracer, Report* report) {
   runner::PartitionCache cache;
   runner::SweepOptions options;
   options.cache = &cache;
@@ -251,6 +251,12 @@ TracedSweepResult TracedSweep(const std::vector<std::vector<core::Experiment>>& 
   double store_s = 0.0;
   const double start = NowS();
   for (const std::vector<core::Experiment>& job : jobs) {
+    if (cold) {
+      out.cache_hits += cache.hits();
+      out.cache_misses += cache.misses();
+      out.cache_evictions += cache.evictions();
+      cache.Clear();
+    }
     const int64_t n = static_cast<int64_t>(job.size());
     std::vector<core::ExperimentResult> results(job.size());
     std::vector<double> job_busy(job.size(), 0.0);
@@ -296,9 +302,9 @@ TracedSweepResult TracedSweep(const std::vector<std::vector<core::Experiment>>& 
   const double rows = static_cast<double>(std::max<int64_t>(1, out.experiments));
   report->Set("store.encode_us_per_row", store_s * 1e6 / rows, "us");
   report->Set("runner.pool_idle_share", 1.0 - busy / (pool->num_threads() * out.wall_s), "share");
-  out.cache_hits = cache.hits();
-  out.cache_misses = cache.misses();
-  out.cache_evictions = cache.evictions();
+  out.cache_hits += cache.hits();
+  out.cache_misses += cache.misses();
+  out.cache_evictions += cache.evictions();
   return out;
 }
 
@@ -326,9 +332,15 @@ void SummarizeLayers(const Tracer& tracer, Report* report) {
       {"partition.max_nm", "partition.max_nm_ms", 1e3, "ms"},
   };
   const std::map<std::string, SpanStats> stats = tracer.Summarize();
+  // A layer without spans was never measured: it fails the run rather than
+  // reading as a perfect 0, and so does a span lost at the tracer's cap.
+  int64_t unmeasured = 0;
   auto median_of = [&](const char* span) {
     auto it = stats.find(span);
-    return it == stats.end() ? 0.0 : Median(it->second.self_s);
+    if (it != stats.end()) return Median(it->second.self_s);
+    ++unmeasured;
+    report->CheckFailed(std::string("layer ") + span + " has no spans");
+    return 0.0;
   };
   auto count_of = [&](const char* span) {
     auto it = stats.find(span);
@@ -353,6 +365,11 @@ void SummarizeLayers(const Tracer& tracer, Report* report) {
                   "ms");
     }
   }
+  if (tracer.dropped() > 0) {
+    ++unmeasured;
+    report->CheckFailed(std::to_string(tracer.dropped()) + " spans dropped at the tracer's cap");
+  }
+  report->Set("layers.failed", report->metrics["layers.failed"].first + unmeasured, "count");
   std::printf("trace: %lld spans recorded, %lld dropped\n",
               static_cast<long long>(tracer.recorded()), static_cast<long long>(tracer.dropped()));
   for (const auto& [name, s] : stats) {

@@ -35,8 +35,8 @@ struct LayerInputs {
 void RunLayerPass(const LayerInputs& inputs, double seconds, Tracer* tracer, Report* report);
 
 // One traced sweep pass: each job runs like SweepRunner::Run on `pool` with
-// a fresh partition cache, with a span per experiment, and its rows go to a
-// .hds file under a span. Fills runner.pool_idle_share (1 - busy / (threads
+// a partition cache fresh for the pass (or, with `cold`, for every job), with
+// a span per experiment, and its rows go to a .hds file under a span. Fills runner.pool_idle_share (1 - busy / (threads
 // x wall)) and store.encode_us_per_row.
 struct TracedSweepResult {
   double wall_s = 0.0;
@@ -46,11 +46,12 @@ struct TracedSweepResult {
   int64_t cache_evictions = 0;
 };
 TracedSweepResult TracedSweep(const std::vector<std::vector<core::Experiment>>& jobs,
-                              runner::ThreadPool* pool, const std::string& hds_path,
-                              Tracer* tracer, Report* report);
+                              runner::ThreadPool* pool, bool cold,
+                              const std::string& hds_path, Tracer* tracer, Report* report);
 
 // Per-layer metrics from the recorded spans (median self time per layer,
-// plus tier counts).
+// plus tier counts). A layer without spans, or any span dropped at the
+// tracer's cap, counts in layers.failed and fails the run.
 void SummarizeLayers(const Tracer& tracer, Report* report);
 
 // Name of the span RunExperiment gets for `kind` (cold or warm cache).

@@ -1,14 +1,14 @@
 // perfbench: the repository's benchmark. One binary runs one seeded workload
-// (serve-hot, serve-cold or sweep) against the library's public API, checks
-// every output, and prints its metrics; the last line of standard output is
-// the result object {"correct", "attempted", "failed", "metrics"}.
+// (serve-hot, serve-cold, sweep or sweep-cold) against the library's public
+// API, checks every output, and prints its metrics; the last line of standard
+// output is the result object {"correct", "attempted", "failed", "metrics"}.
 //
-//   perfbench --workload=NAME --seed=N --seconds=S --trace=0|1 [settings]
+//   perfbench --workload=NAME --seed=N --seconds=S --trace=0|1
 //
 // --trace=0 measures the end-to-end metrics; --trace=1 is the separate
 // traced run that reports the per-layer metrics and writes the spans to
-// .bench_out/trace-<workload>.json. The settings flags (latency limits, rate
-// ladders, sizes) come from perfbench/config.json via perfbench/run.py.
+// .bench_out/trace-<workload>.json. Each serve workload's latency limit and
+// rates are fixed in serve_workload.cc.
 // Exit status: 0 when every check passed, 1 when a check failed (the result
 // line says correct=false), 2 on bad flags, failed set-up, or an invalid
 // run (the load generator fell behind) — then no result line is printed.
@@ -18,10 +18,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <sstream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common.h"
 #include "layers.h"
@@ -43,17 +41,6 @@ bool ParseDouble(const std::string& text, double* out) {
   char* end = nullptr;
   *out = std::strtod(text.c_str(), &end);
   return !text.empty() && end != nullptr && *end == '\0';
-}
-
-bool ParseList(const std::string& text, std::vector<double>* out) {
-  std::stringstream stream(text);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    double v = 0.0;
-    if (!ParseDouble(item, &v) || v <= 0.0) return false;
-    out->push_back(v);
-  }
-  return !out->empty();
 }
 
 void PrintResult(const Report& report) {
@@ -78,15 +65,9 @@ int main(int argc, char** argv) {
   std::setvbuf(stdout, nullptr, _IOLBF, 0);
   NowS();  // fixes the time origin at process start
   std::string workload;
-  double seed_value = 1.0, seconds = 10.0, trace = 0.0, cache_capacity = 0.0;
-  ServeSettings serve;
+  double seed_value = 1.0, seconds = 10.0, trace = 0.0;
   const std::map<std::string, double*> numbers = {
-      {"--seed", &seed_value},           {"--seconds", &seconds},
-      {"--trace", &trace},               {"--limit-ms", &serve.limit_ms},
-      {"--base-rps", &serve.base_rps},   {"--base-s", &serve.base_s},
-      {"--peak-rps", &serve.peak_rps},   {"--peak-s", &serve.peak_s},
-      {"--burst-s", &serve.burst_s},     {"--step-s", &serve.step_s},
-      {"--cache-capacity", &cache_capacity}};
+      {"--seed", &seed_value}, {"--seconds", &seconds}, {"--trace", &trace}};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const size_t eq = arg.find('=');
@@ -95,8 +76,6 @@ int main(int argc, char** argv) {
     bool ok = true;
     if (key == "--workload") {
       workload = value;
-    } else if (key == "--ladder") {
-      ok = ParseList(value, &serve.ladder);
     } else {
       auto it = numbers.find(key);
       ok = it != numbers.end() && ParseDouble(value, it->second);
@@ -106,17 +85,14 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  serve.cache_capacity = static_cast<int64_t>(cache_capacity);
-  const bool is_serve = workload == "serve-hot" || workload == "serve-cold";
-  if (!is_serve && workload != "sweep") {
-    std::fprintf(stderr, "perfbench: --workload must be serve-hot, serve-cold or sweep\n");
+  const ServeSettings* serve = FindServeSettings(workload);
+  const bool is_serve = serve != nullptr;
+  const bool cold_sweep = workload == "sweep-cold";
+  if (!is_serve && workload != "sweep" && !cold_sweep) {
+    std::fprintf(stderr,
+                 "perfbench: --workload must be serve-hot, serve-cold, sweep or sweep-cold\n");
     return 2;
   }
-  if (is_serve && (serve.base_rps <= 0 || serve.peak_rps <= 0 || serve.ladder.empty())) {
-    std::fprintf(stderr, "perfbench: serve workloads need --base-rps, --peak-rps and --ladder\n");
-    return 2;
-  }
-  serve.hot = workload == "serve-hot";
   const uint64_t seed = static_cast<uint64_t>(seed_value);
   ::mkdir(kScratchDir, 0755);
   std::printf("perfbench: workload=%s seed=%llu seconds=%g trace=%d nproc=%u\n", workload.c_str(),
@@ -126,13 +102,12 @@ int main(int argc, char** argv) {
   Report report;
   bool valid = false;
   if (trace == 0.0) {
-    valid = is_serve ? RunServeEndToEnd(serve, seed, seconds, &report)
-                     : RunSweepEndToEnd(seed, seconds, &report);
-    report.Set("peak_rss_mb", PeakRssMb(), "MiB");
+    valid = is_serve ? RunServeEndToEnd(*serve, seed, seconds, &report)
+                     : RunSweepEndToEnd(seed, seconds, cold_sweep, &report);
   } else {
     Tracer tracer;
-    valid = is_serve ? RunServeTraced(serve, seed, seconds, &tracer, &report)
-                     : RunSweepTraced(seed, seconds, &tracer, &report);
+    valid = is_serve ? RunServeTraced(*serve, seed, seconds, &tracer, &report)
+                     : RunSweepTraced(seed, seconds, cold_sweep, &tracer, &report);
     SummarizeLayers(tracer, &report);
     const std::string path = std::string(kScratchDir) + "/trace-" + workload + ".json";
     if (!tracer.Export(path)) std::fprintf(stderr, "perfbench: cannot write %s\n", path.c_str());

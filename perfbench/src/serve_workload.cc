@@ -9,6 +9,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -27,6 +28,8 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 // serve-cold warm-up requests come from an index range no step reaches.
 constexpr int kColdWarmupBase = 1 << 28;
+// serve-cold warm-up requests: two cycles of the twelve request shapes.
+constexpr int kColdWarmup = 24;
 // serve-cold burst payloads generated ahead, per second of burst (above the
 // rate the server reaches; past it payloads are generated inline).
 constexpr double kBurstColdPerSecond = 1500.0;
@@ -58,25 +61,16 @@ struct StepResult {
 };
 
 // Latency quantiles are medians over consecutive windows of at least this
-// many requests (so each window's p99 has ten samples beyond it): a stall of
-// the host inflates one window instead of the whole measurement.
-constexpr size_t kWindowRequests = 1000;
+// many requests (about two serve-cold base steps): a slow spell of the host
+// inflates one window instead of the whole measurement.
+constexpr size_t kWindowRequests = 500;
 
-double WindowedQuantile(const std::vector<double>& latency_ms, double q) {
-  const size_t n = latency_ms.size();
-  const size_t windows = std::max<size_t>(1, n / kWindowRequests);
-  std::vector<double> per_window;
-  for (size_t w = 0; w < windows; ++w) {
-    per_window.push_back(Quantile(std::vector<double>(latency_ms.begin() + w * n / windows,
-                                                      latency_ms.begin() + (w + 1) * n / windows),
-                                  q));
-  }
-  return Median(per_window);
-}
 
 // Load-generator threads, one connection each, and as many server executors:
-// together they use every core and no more.
-int Clients() { return std::max(1, static_cast<int>(std::thread::hardware_concurrency()) / 2); }
+// together they use half the cores. On a shared virtual machine the host
+// takes processor time back when every core is busy, which made whole-core
+// runs swing with the neighbours' load rather than with the program.
+int Clients() { return std::max(1, static_cast<int>(std::thread::hardware_concurrency()) / 4); }
 
 // Generator lateness (p99) beyond which a step is invalid: a tenth of the
 // latency limit, small enough not to decide whether a step passes.
@@ -141,7 +135,7 @@ class ServeRig {
     }
     // serve-hot loads every key; serve-cold runs a few requests of its own
     // kind so first-touch costs stay out of the steps.
-    const int warm = settings_.hot ? static_cast<int>(pool_.requests.size()) : 8;
+    const int warm = settings_.hot ? static_cast<int>(pool_.requests.size()) : kColdWarmup;
     Seen seen;
     std::string response;
     for (int k = 0; k < warm; ++k) {
@@ -229,8 +223,8 @@ class ServeRig {
     }
     attempted_ += n;
     failed_ += result.failed;
-    result.p50_ms = WindowedQuantile(result.latency_ms, 0.50);
-    result.p99_ms = WindowedQuantile(result.latency_ms, 0.99);
+    result.p50_ms = WindowedQuantile(result.latency_ms, 0.50, kWindowRequests);
+    result.p99_ms = WindowedQuantile(result.latency_ms, 0.99, kWindowRequests);
     result.late_p99_ms = Quantile(late_ms, 0.99);
     result.achieved =
         static_cast<double>(n - result.failed) / std::max(duration, last_done - start);
@@ -411,49 +405,65 @@ bool ValidStep(ServeRig* rig, const ServeSettings& settings, const char* phase, 
   return false;
 }
 
-// The rate where the overload measure crosses 1, interpolated between the
-// last passing step and the failing one above it.
-double Knee(const ServeSettings& s, const StepResult& pass, const StepResult* fail) {
-  if (fail == nullptr) return pass.rate;
+// The rate where the overload measure crosses 1, interpolated between a
+// passing step and the failing step one ladder rate above it.
+double Knee(const ServeSettings& s, const StepResult& pass, const StepResult& fail) {
   const double x_pass = Overload(s, pass);
-  const double x_fail = Overload(s, *fail);
+  const double x_fail = Overload(s, fail);
   if (!std::isfinite(x_fail) || x_fail <= x_pass) return pass.rate;
   const double f = (1.0 - x_pass) / (x_fail - x_pass);
-  return pass.rate + (fail->rate - pass.rate) * std::clamp(f, 0.0, 1.0);
+  return pass.rate + (fail.rate - pass.rate) * std::clamp(f, 0.0, 1.0);
 }
 
-// One pass up the ladder from `from`: stops after two consecutive failing
-// steps. Returns the knee (0 when nothing passed) and its ladder index.
-bool LadderPass(ServeRig* rig, const ServeSettings& s, size_t from, double* knee,
-                int* knee_index) {
-  *knee = 0.0;
-  *knee_index = -1;
-  StepResult last_pass;
-  StepResult first_fail;
-  bool have_fail = false;
-  int consecutive = 0;
-  for (size_t i = from; i < s.ladder.size(); ++i) {
+// An up-down staircase on the ladder: each step moves one rate up after a
+// pass and one down after a failure, so it settles around the knee. Every
+// time the newest results at two adjacent rates are a pass below a failure,
+// their interpolated knee is one estimate of max_rps.
+class Staircase {
+ public:
+  Staircase(const ServeSettings& s, double start_rate) : s_(s), last_(s.ladder.size()) {
+    while (at_ + 1 < s.ladder.size() && s.ladder[at_ + 1] <= start_rate) ++at_;
+  }
+
+  bool Step(ServeRig* rig) {
     StepResult r;
-    if (!ValidStep(rig, s, "ladder", s.ladder[i], s.step_s, nullptr, &r)) return false;
-    if (r.pass) {
-      last_pass = r;
-      *knee_index = static_cast<int>(i);
-      consecutive = 0;
-      have_fail = false;
-    } else {
-      if (consecutive == 0) {
-        first_fail = r;
-        have_fail = true;
-      }
-      if (++consecutive == 2) break;
+    if (!ValidStep(rig, s_, "ladder", s_.ladder[at_], s_.step_s, nullptr, &r)) return false;
+    const bool pass = r.pass;
+    last_[at_] = std::move(r);
+    // The adjacent pair this step completes: with the rate above after a
+    // pass, with the rate below after a failure.
+    const bool has_pair = pass ? at_ + 1 < last_.size() : at_ > 0;
+    const size_t lo = pass ? at_ : at_ - 1;
+    if (has_pair && Pair(lo)) {
+      knees_.push_back(Knee(s_, *last_[lo], *last_[lo + 1]));
+      std::printf("knee estimate %.1f/s between %.0f/s and %.0f/s\n", knees_.back(),
+                  s_.ladder[lo], s_.ladder[lo + 1]);
     }
+    if (pass && at_ + 1 < last_.size()) ++at_;
+    if (!pass && at_ > 0) --at_;
+    return true;
   }
-  if (*knee_index >= 0) *knee = Knee(s, last_pass, have_fail ? &first_fail : nullptr);
-  if (*knee_index == static_cast<int>(s.ladder.size()) - 1) {
-    std::printf("note: every ladder step passed; max_rps is censored at the top rate\n");
+
+  // Median of the knee estimates; without any, the top rate when every
+  // step there passed (censored) and 0 when every step at the bottom failed.
+  double MaxRps() const {
+    if (!knees_.empty()) return Median(knees_);
+    const bool top = last_.back() && last_.back()->pass;
+    std::printf("note: the staircase found no knee; max_rps is %s\n",
+                top ? "censored at the top rate" : "0");
+    return top ? s_.ladder.back() : 0.0;
   }
-  return true;
-}
+
+ private:
+  bool Pair(size_t lo) const {
+    return last_[lo] && last_[lo + 1] && last_[lo]->pass && !last_[lo + 1]->pass;
+  }
+
+  const ServeSettings& s_;
+  std::vector<std::optional<StepResult>> last_;  // newest result per rate
+  std::vector<double> knees_;
+  size_t at_ = 0;
+};
 
 std::unique_ptr<ServeRig> SetUp(const ServeSettings& settings, uint64_t seed, double* seconds) {
   const double t0 = NowS();
@@ -505,37 +515,57 @@ void ReportErrors(const std::map<std::string, int64_t>& error_codes, Report* rep
 
 }  // namespace
 
+const ServeSettings* FindServeSettings(const std::string& workload) {
+  static const ServeSettings kHot = {
+      true, 10.0, 4000.0, 2.0, 8000.0, 1.5, 0.5,
+      {8000, 10000, 12000, 14000, 16000, 17000, 18000, 19000, 20000, 21000, 22000,
+       23000, 24000, 25000, 26000, 27000, 28000, 29000, 30000, 32000, 34000, 36000},
+      0.75, 1024};
+  static const ServeSettings kCold = {
+      false, 150.0, 75.0, 4.0, 100.0, 3.0, 0.75,
+      {100, 120, 140, 160, 180, 200, 215, 230, 245, 260, 275, 290, 310, 330, 360, 400, 450, 500},
+      1.25, 256};
+  if (workload == "serve-hot") return &kHot;
+  if (workload == "serve-cold") return &kCold;
+  return nullptr;
+}
+
 bool RunServeEndToEnd(const ServeSettings& settings, uint64_t seed, double seconds,
                       Report* report) {
   const double run_start = NowS();
-  // Set-up is repeated; the median is reported and the last rig is used.
+  // Set-up is timed once before the rounds (that rig is used) and once more,
+  // on a rig thrown away at once, at the start of every round, so that its
+  // median spans the run like every other measurement.
   std::vector<double> setups;
-  std::unique_ptr<ServeRig> rig;
-  for (int i = 0; i < kSetups; ++i) {
-    rig.reset();
+  auto timed_setup = [&] {
     double t = 0.0;
-    rig = SetUp(settings, seed, &t);
-    if (!rig) return false;
-    setups.push_back(t);
-    std::printf("setup %d: %.4f s (rss %.1f MiB)\n", i, t, PeakRssMb());
-  }
+    std::unique_ptr<ServeRig> rig = SetUp(settings, seed, &t);
+    if (rig) {
+      setups.push_back(t);
+      std::printf("setup %zu: %.4f s\n", setups.size() - 1, t);
+    }
+    return rig;
+  };
+  std::unique_ptr<ServeRig> rig = timed_setup();
+  if (!rig) return false;
   const double deadline = NowS() + seconds;
   const int64_t hits0 = rig->cache().hits(), misses0 = rig->cache().misses();
 
-  // Rounds until the deadline (at least two), each a base step, a peak
-  // step, a burst and a ladder pass, so that a slow spell of the host
-  // touches only part of every measurement. The first pass starts at the
-  // highest step at most 75% of the burst rate, later ones two steps below
-  // the previous knee; a pass that passes nothing rescans from the bottom in
-  // the next round.
-  std::vector<double> base_ms, peak_ms, bursts, knees;
+  // Short rounds until the deadline (at least two), each a set-up, a base
+  // step, a peak step, a burst and two staircase steps, so that every measurement
+  // is spread over the whole run and a slow spell of the host touches only
+  // part of it. The staircase starts at the highest rate at most 80% of the
+  // first burst's. A round starts while at least half of one still fits
+  // before the deadline.
+  std::vector<double> base_ms, peak_ms, bursts;
   std::vector<StepResult> steps;
+  std::unique_ptr<Staircase> staircase;
   double late_p99_ms = 0.0;
   int64_t backlog = 0;
-  size_t from = settings.ladder.size();
   double round_s = 0.0;
-  for (int round = 0; round < 2 || NowS() + round_s < deadline; ++round) {
+  for (int round = 0; round < 2 || NowS() + round_s / 2.0 < deadline; ++round) {
     const double t0 = NowS();
+    if (!timed_setup()) return false;
     StepResult base, peak;
     if (!ValidStep(rig.get(), settings, "base", settings.base_rps, settings.base_s, nullptr,
                    &base) ||
@@ -551,29 +581,15 @@ bool RunServeEndToEnd(const ServeSettings& settings, uint64_t seed, double secon
     steps.push_back(std::move(peak));
     bursts.push_back(rig->RunBurst(settings.burst_s));
     std::printf("burst closed-loop: %.1f/s over %d connections\n", bursts.back(), Clients());
-    if (from == settings.ladder.size()) {
-      from = 0;
-      const double start_rate = 0.75 * bursts.back();
-      while (from + 1 < settings.ladder.size() && settings.ladder[from + 1] <= start_rate) ++from;
-    }
-    double knee = 0.0;
-    int index = -1;
-    if (!LadderPass(rig.get(), settings, from, &knee, &index)) return false;
-    if (index < 0) {
-      from = 0;
-    } else {
-      knees.push_back(knee);
-      from = static_cast<size_t>(std::max(0, index - 2));
-    }
-    std::printf("round %d: knee %.1f/s (last passing step %.0f/s)\n", round, knee,
-                index >= 0 ? settings.ladder[static_cast<size_t>(index)] : 0.0);
+    if (!staircase) staircase = std::make_unique<Staircase>(settings, 0.8 * bursts.front());
+    if (!staircase->Step(rig.get()) || !staircase->Step(rig.get())) return false;
     round_s = NowS() - t0;
   }
   const int64_t hits = rig->cache().hits() - hits0, misses = rig->cache().misses() - misses0;
   const int64_t evictions = rig->cache().evictions();
   rig->Stop();
-  std::printf("rss after the timed rounds: %.1f MiB\n", PeakRssMb());
-  if (knees.empty()) std::printf("note: no ladder step passed; max_rps is 0\n");
+  // Read before the checks, whose reference solves are the harness's memory.
+  report->Set("peak_rss_mb", PeakRssMb(), "MiB");
 
   std::map<std::string, int64_t> tiers, error_codes;
   rig->Check(report, &tiers, &error_codes);
@@ -581,21 +597,22 @@ bool RunServeEndToEnd(const ServeSettings& settings, uint64_t seed, double secon
   ReportErrors(error_codes, report, false);
   std::printf("loadgen: base and peak steps late_p99<=%.4fms backlog<=%lld\n", late_p99_ms,
               static_cast<long long>(backlog));
-  std::printf("samples: base=%zu peak=%zu bursts=%zu ladder_passes=%zu run_s=%.1f\n",
-              base_ms.size(), peak_ms.size(), bursts.size(), knees.size(), NowS() - run_start);
+  std::printf("samples: base=%zu peak=%zu bursts=%zu run_s=%.1f\n", base_ms.size(),
+              peak_ms.size(), bursts.size(), NowS() - run_start);
 
   report->Set("setup_s", Median(setups), "s");
-  report->Set("p50_ms", WindowedQuantile(base_ms, 0.50), "ms");
-  report->Set("p99_ms", WindowedQuantile(base_ms, 0.99), "ms");
-  report->Set("p99_ms_peak", WindowedQuantile(peak_ms, 0.99), "ms");
-  report->Set("max_rps", Median(knees), "1/s");
-  report->Set("exps_per_s", Median(bursts), "1/s");
+  report->Set("p50_ms", WindowedQuantile(base_ms, 0.50, kWindowRequests), "ms");
+  report->Set("p99_ms", WindowedQuantile(base_ms, 0.99, kWindowRequests), "ms");
+  report->Set("p99_ms_peak", WindowedQuantile(peak_ms, 0.99, kWindowRequests), "ms");
+  report->Set("max_rps", staircase->MaxRps(), "1/s");
+  double burst_sum = 0.0;
+  for (double b : bursts) burst_sum += b;
+  report->Set("exps_per_s", burst_sum / static_cast<double>(bursts.size()), "1/s");
   return true;
 }
 
 bool CompanionServeStep(uint64_t seed, double seconds, Tracer* tracer, Report* report) {
-  ServeSettings settings;
-  settings.hot = true;
+  ServeSettings settings = *FindServeSettings("serve-hot");
   settings.limit_ms = 1e9;
   double setup_s = 0.0;
   std::unique_ptr<ServeRig> rig = SetUp(settings, seed, &setup_s);
@@ -673,7 +690,7 @@ bool RunServeTraced(const ServeSettings& settings, uint64_t seed, double seconds
   RunLayerPass(inputs, seconds / 4.0, tracer, report);
   runner::ThreadPool pool(0);
   const std::string hds = std::string(kScratchDir) + "/layers.hds";
-  TracedSweep(jobs, &pool, hds, tracer, report);
+  TracedSweep(jobs, &pool, false, hds, tracer, report);
   std::remove(hds.c_str());
   ReportErrors(error_codes, report, true);
   return true;

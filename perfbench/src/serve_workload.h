@@ -12,6 +12,7 @@
 
 namespace perfbench {
 
+// One serve workload's fixed settings; rates are requests per second.
 struct ServeSettings {
   bool hot = true;             // serve-hot, else serve-cold
   double limit_ms = 1.0;       // p99 latency limit of a passing step
@@ -24,6 +25,9 @@ struct ServeSettings {
   double step_s = 1.0;         // duration of one ladder step
   int64_t cache_capacity = 0;  // partition-cache bound (0 = unbounded)
 };
+
+// The settings of "serve-hot" or "serve-cold"; null for any other name.
+const ServeSettings* FindServeSettings(const std::string& workload);
 
 // serve-hot: distinct requests in the pool.
 constexpr int kHotKeys = 320;

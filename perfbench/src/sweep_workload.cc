@@ -87,15 +87,22 @@ struct PassResult {
   double wall_s = 0.0;
   std::vector<double> job_ms;
   int64_t experiments = 0;
+  int64_t cache_hits = 0;    // lookups on the pass's cache (a shared cache
+  int64_t cache_misses = 0;  // counts every client's)
   std::vector<std::string> rows;  // JSON, in run order
 };
 
 // One client running `jobs` (every `stride`-th from `first`) back to back
-// through one SweepRunner with its own sink.
+// through one SweepRunner with its own sink. With `cold`, `cache` is emptied
+// before every job, so each job searches its own partitions.
 PassResult RunJobs(const Jobs& jobs, size_t first, size_t stride,
-                   runner::ThreadPool* pool, runner::PartitionCache* cache,
+                   runner::ThreadPool* pool, runner::PartitionCache* cache, bool cold,
                    const std::string& path, Report* report) {
   PassResult out;
+  auto take_counts = [&] {
+    out.cache_hits += cache->hits();
+    out.cache_misses += cache->misses();
+  };
   std::string error;
   std::unique_ptr<store::StoreSink> sink = store::StoreSink::Open(path, &error);
   if (sink == nullptr) {
@@ -111,6 +118,10 @@ PassResult RunJobs(const Jobs& jobs, size_t first, size_t stride,
   std::vector<std::vector<core::ExperimentResult>> results;
   const double start = NowS();
   for (size_t j = first; j < jobs.size(); j += stride) {
+    if (cold) {
+      take_counts();
+      cache->Clear();
+    }
     const double t0 = NowS();
     try {
       results.push_back(runner.Run(jobs[j]));
@@ -125,6 +136,7 @@ PassResult RunJobs(const Jobs& jobs, size_t first, size_t stride,
   }
   if (!sink->Close(&error)) report->CheckFailed("StoreSink::Close: " + error);
   out.wall_s = NowS() - start;
+  take_counts();
   report->attempted += out.experiments;
   out.rows = CheckRows(path, ran, results, report);
   return out;
@@ -134,16 +146,17 @@ double SetUp(uint64_t seed, Jobs* jobs, std::unique_ptr<runner::ThreadPool>* poo
   const double t0 = NowS();
   *jobs = MakeSweepJobs(seed, kSweepJobs);
   *pool = std::make_unique<runner::ThreadPool>(SweepThreads());
-  // Warm-up: one job from another seed, so class registration and model
-  // construction costs stay out of the passes.
+  // Warm-up: three jobs from another seed, so class registration and model
+  // construction costs stay out of the passes (and set-up is long enough to
+  // time steadily).
   runner::SweepOptions options;
   options.pool = pool->get();
   runner::SweepRunner warm(options);
-  warm.Run(MakeSweepJobs(seed + 0x5eed, 1).front());
+  for (const auto& job : MakeSweepJobs(seed + 0x5eed, 3)) warm.Run(job);
   return NowS() - t0;
 }
 
-void PrintShares(const Jobs& jobs, int64_t hits, int64_t misses) {
+void PrintShares(const Jobs& jobs, int64_t hits, int64_t misses, bool cold) {
   std::map<std::string, int64_t> kinds;
   int64_t total = 0;
   for (const auto& job : jobs) {
@@ -157,25 +170,29 @@ void PrintShares(const Jobs& jobs, int64_t hits, int64_t misses) {
     std::printf(" %s=%.4f", kind.c_str(), static_cast<double>(count) / total);
   }
   std::printf(" (experiments=%lld)\n", static_cast<long long>(total));
-  std::printf("shares: cache_hit=%.4f (hits=%lld misses=%lld, unbounded cache)\n",
+  std::printf("shares: cache_hit=%.4f (hits=%lld misses=%lld, unbounded cache, fresh per %s)\n",
               static_cast<double>(hits) / std::max<int64_t>(1, hits + misses),
-              static_cast<long long>(hits), static_cast<long long>(misses));
+              static_cast<long long>(hits), static_cast<long long>(misses),
+              cold ? "job" : "pass");
 }
 
 }  // namespace
 
-bool RunSweepEndToEnd(uint64_t seed, double seconds, Report* report) {
+bool RunSweepEndToEnd(uint64_t seed, double seconds, bool cold, Report* report) {
+  // Set-up is timed once before the rounds (those jobs and that pool are
+  // used) and once more, thrown away at once, at the start of every round,
+  // so that its median spans the run like every other measurement.
+  std::vector<double> setups;
+  auto timed_setup = [&](Jobs* jobs, std::unique_ptr<runner::ThreadPool>* pool) {
+    setups.push_back(SetUp(seed, jobs, pool));
+    std::printf("setup %zu: %.4f s\n", setups.size() - 1, setups.back());
+  };
   Jobs jobs;
   std::unique_ptr<runner::ThreadPool> pool;
-  std::vector<double> setups;
-  for (int i = 0; i < kSetups; ++i) {
-    pool.reset();
-    setups.push_back(SetUp(seed, &jobs, &pool));
-    std::printf("setup %d: %.4f s\n", i, setups.back());
-  }
-  // Rounds until the deadline: a solo pass on the sweep pool, then a pass
-  // split between two clients on a pool one thread smaller (the clients'
-  // own threads run jobs too), each on a fresh cache.
+  timed_setup(&jobs, &pool);
+  // Rounds until the deadline: a set-up, a solo pass on the sweep pool, then
+  // a pass split between two clients on a pool one thread smaller (the
+  // clients' own threads run jobs too), each pass on a fresh cache.
   const double deadline = NowS() + seconds;
   runner::ThreadPool shared(pool->num_threads() - 1);
   std::vector<double> rates, jobs_per_s, job_ms, peak_ms;
@@ -185,14 +202,19 @@ bool RunSweepEndToEnd(uint64_t seed, double seconds, Report* report) {
   double round_s = 0.0;
   while (rates.empty() || NowS() + round_s < deadline) {
     const double round_start = NowS();
+    {
+      Jobs scratch_jobs;
+      std::unique_ptr<runner::ThreadPool> scratch_pool;
+      timed_setup(&scratch_jobs, &scratch_pool);
+    }
     runner::PartitionCache cache;
-    PassResult pass = RunJobs(jobs, 0, 1, pool.get(), &cache,
+    PassResult pass = RunJobs(jobs, 0, 1, pool.get(), &cache, cold,
                               std::string(kScratchDir) + "/sweep.hds", report);
     const uint64_t checksum = Checksum(pass.rows);
     rates.push_back(static_cast<double>(pass.experiments) / pass.wall_s);
     job_ms.insert(job_ms.end(), pass.job_ms.begin(), pass.job_ms.end());
-    hits += cache.hits();
-    misses += cache.misses();
+    hits += pass.cache_hits;
+    misses += pass.cache_misses;
     std::printf("solo pass %zu: %lld experiments in %.3f s = %.1f exp/s, rows checksum %016llx\n",
                 rates.size(), static_cast<long long>(pass.experiments), pass.wall_s, rates.back(),
                 static_cast<unsigned long long>(checksum));
@@ -202,14 +224,16 @@ bool RunSweepEndToEnd(uint64_t seed, double seconds, Report* report) {
     }
     if (checksum != first_checksum) report->CheckFailed("rows differ between passes of one seed");
 
-    runner::PartitionCache shared_cache;
+    // sweep shares one cache between the clients; sweep-cold empties a
+    // cache before every job, so each client has its own.
+    runner::PartitionCache client_cache[2];
     PassResult client[2];
     Report local[2];
     std::vector<std::thread> threads;
     const double peak_start = NowS();
     for (size_t c = 0; c < 2; ++c) {
       threads.emplace_back([&, c] {
-        client[c] = RunJobs(jobs, c, 2, &shared, &shared_cache,
+        client[c] = RunJobs(jobs, c, 2, &shared, &client_cache[cold ? c : 0], cold,
                             std::string(kScratchDir) + "/sweep-client" + std::to_string(c) + ".hds",
                             &local[c]);
       });
@@ -236,19 +260,22 @@ bool RunSweepEndToEnd(uint64_t seed, double seconds, Report* report) {
     round_s = NowS() - round_start;
   }
 
-  PrintShares(jobs, hits, misses);
+  report->Set("peak_rss_mb", PeakRssMb(), "MiB");
+  PrintShares(jobs, hits, misses, cold);
   std::printf("samples: rounds=%zu jobs=%zu peak_jobs=%zu\n", rates.size(), job_ms.size(),
               peak_ms.size());
   report->Set("setup_s", Median(setups), "s");
   report->Set("exps_per_s", Median(rates), "1/s");
-  report->Set("p50_ms", Quantile(job_ms, 0.50), "ms");
-  report->Set("p99_ms", Quantile(job_ms, 0.99), "ms");
-  report->Set("p99_ms_peak", Quantile(peak_ms, 0.99), "ms");
+  // Job latency quantiles per pass (every pass runs each job once), median
+  // over the passes.
+  report->Set("p50_ms", WindowedQuantile(job_ms, 0.50, jobs.size()), "ms");
+  report->Set("p99_ms", WindowedQuantile(job_ms, 0.99, jobs.size()), "ms");
+  report->Set("p99_ms_peak", WindowedQuantile(peak_ms, 0.99, jobs.size()), "ms");
   report->Set("max_rps", Median(jobs_per_s), "1/s");
   return true;
 }
 
-bool RunSweepTraced(uint64_t seed, double seconds, Tracer* tracer, Report* report) {
+bool RunSweepTraced(uint64_t seed, double seconds, bool cold, Tracer* tracer, Report* report) {
   Jobs jobs;
   std::unique_ptr<runner::ThreadPool> pool;
   SetUp(seed, &jobs, &pool);
@@ -257,10 +284,10 @@ bool RunSweepTraced(uint64_t seed, double seconds, Tracer* tracer, Report* repor
   const size_t n = std::min(jobs.size(), std::max<size_t>(8, jobs.size() / 2));
   const Jobs part(jobs.begin(), jobs.begin() + static_cast<long>(n));
   runner::PartitionCache cache;
-  const PassResult untraced = RunJobs(part, 0, 1, pool.get(), &cache,
+  const PassResult untraced = RunJobs(part, 0, 1, pool.get(), &cache, cold,
                                       std::string(kScratchDir) + "/sweep.hds", report);
-  const TracedSweepResult traced =
-      TracedSweep(part, pool.get(), std::string(kScratchDir) + "/sweep-traced.hds", tracer, report);
+  const TracedSweepResult traced = TracedSweep(
+      part, pool.get(), cold, std::string(kScratchDir) + "/sweep-traced.hds", tracer, report);
   const double u = static_cast<double>(untraced.experiments) / untraced.wall_s;
   const double t = static_cast<double>(traced.experiments) / traced.wall_s;
   report->Set("trace.overhead_pct", (u / t - 1.0) * 100.0, "%");

@@ -32,7 +32,7 @@ struct SpanStats {
 
 class Tracer {
  public:
-  explicit Tracer(int64_t max_spans = 400000);
+  explicit Tracer(int64_t max_spans = 1000000);
 
   // Records a finished span with explicit times; returns its id. The parent
   // defaults to the innermost open ScopedSpan of the calling thread.
