@@ -11,7 +11,8 @@
 //                             this with --port=0 to avoid collisions)
 //        --threads=N          request-executor threads (default: hardware)
 //        --cache-file=PATH    persistent cache: loaded at startup, saved
-//                             periodically and on shutdown
+//                             periodically and on shutdown (a file that
+//                             fails to load is left as is, never saved over)
 //        --save-interval-s=N  seconds between periodic cache saves (default
 //                             30; needs --cache-file)
 //        --cache-capacity=N   LRU bound on cache entries (default 0:

@@ -264,13 +264,16 @@ std::vector<ResultRow> MergeJoin(std::vector<ResultRow> left, std::vector<Result
   return joined;
 }
 
+// Reads any .hds store file, whatever its name (a --cache-file is one). A
+// file without a store header is a usage error (exit 2); a store that turns
+// out truncated or corrupt is a data error (exit 1).
 std::vector<ResultRow> LoadStore(const std::string& path) {
-  if (path.size() < 4 || path.compare(path.size() - 4, 4, ".hds") != 0) {
-    std::fprintf(stderr, "error: sweep_query reads .hds store files, got \"%s\"\n", path.c_str());
+  std::string error;
+  if (hetpipe::store::ExtentReader::Open(path, &error) == nullptr) {
+    std::fprintf(stderr, "error: sweep_query reads .hds store files: %s\n", error.c_str());
     std::exit(2);
   }
   std::vector<ResultRow> rows;
-  std::string error;
   if (!hetpipe::store::ReadAllRows(path, &rows, &error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     std::exit(1);

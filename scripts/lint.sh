@@ -18,10 +18,12 @@
 #      raw std::mutex / std::shared_mutex / std::condition_variable —
 #      otherwise -Wthread-safety has nothing to check (src/util/mutex.h is
 #      the one place allowed to touch the native types).
-#   6. bench/ binaries never write results through a raw std::ofstream: rows
+#   6. bench/ and src/ never write files through a raw std::ofstream: rows
 #      go through the runner sink layer (--out/--json/--csv), where the
-#      schema, the store, and sweep_query can see them. Deliberate non-result
-#      files carry '// lint: ofstream-allowed (<why>)' on the line.
+#      schema, the store, and sweep_query can see them, and durable binary
+#      state goes through the .hds store (src/store/, the one place exempt),
+#      so no second file format grows back. Deliberate exceptions carry
+#      '// lint: ofstream-allowed (<why>)' on the line.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -102,13 +104,17 @@ if [ -n "$raw_sync" ]; then
   fail "raw std synchronization in src/runner or src/serve (use the annotated util::Mutex family from src/util/mutex.h):" "$raw_sync"
 fi
 
-# ---- Rule 6: result writing in bench/ goes through the sink layer ----
+# ---- Rule 6: file writing in bench/ and src/ goes through sinks or the store ----
 # A bench opening its own std::ofstream for rows bypasses the schema,
 # --out dispatch, and the store — results written that way can't be queried
-# or round-tripped. Non-result files (expectation dumps, measurement
-# targets) carry an explicit marker comment on the same line:
+# or round-tripped. In src/, a raw stream is how a second hand-rolled binary
+# format (headers, framing, checksums, temp-then-rename) starts; durable
+# state belongs in the .hds store, which src/store/ implements. Deliberate
+# exceptions (expectation dumps, measurement targets, the text sinks'
+# streams) carry an explicit marker comment on the same line:
 #   // lint: ofstream-allowed (<why>)
-raw_ofstream=$(grep -rn --include='*.cc' 'std::ofstream' bench \
+raw_ofstream=$(grep -rn --include='*.cc' 'std::ofstream' bench src \
+                | grep -v '^src/store/' \
                 | grep -v 'lint: ofstream-allowed' \
                 | while IFS= read -r line; do
                     code=${line#*:*:}
@@ -117,7 +123,7 @@ raw_ofstream=$(grep -rn --include='*.cc' 'std::ofstream' bench \
                       && printf '%s\n' "$line"
                   done)
 if [ -n "$raw_ofstream" ]; then
-  fail "raw std::ofstream result writing in bench/ (emit rows via runner::BenchArgs --out/--json/--csv sinks, or mark the line '// lint: ofstream-allowed (<why>)'):" "$raw_ofstream"
+  fail "raw std::ofstream in bench/ or src/ (emit rows via runner::BenchArgs --out/--json/--csv sinks, persist state as a .hds store via src/store/, or mark the line '// lint: ofstream-allowed (<why>)'):" "$raw_ofstream"
 fi
 
 if [ "$failures" -ne 0 ]; then

@@ -57,11 +57,13 @@ BenchArgs BenchArgs::Parse(int argc, char** argv) {
                      static_cast<long long>(args.cache_->size()));
       } else if (std::ifstream(value).good()) {
         // A present-but-unusable file is rejected cleanly: warn and run cold.
-        // The destructor only rewrites it once the run has fresh entries —
-        // e.g. a version-mismatched file a newer binary can still read must
-        // not be clobbered by an empty cache.
-        args.cache_load_failed_ = true;
-        std::fprintf(stderr, "warning: ignoring cache file: %s\n", load_error.c_str());
+        // It is never saved over — it may be a sweep's results (which share
+        // the .hds format) or a cache another binary can read — so the run
+        // keeps its cache in memory only.
+        args.cache_path_.clear();
+        std::fprintf(stderr,
+                     "warning: ignoring cache file: %s (running cold; the file is left as is)\n",
+                     load_error.c_str());
       }
     } else if (MatchFlag(arg, "out", &value)) {
       args.AddOut(value);
@@ -119,7 +121,7 @@ std::ostream* BenchArgs::OpenOutput(const std::string& path) {
   if (path.empty() || path == "-") {
     return &std::cout;
   }
-  files_.push_back(std::make_unique<std::ofstream>(path));
+  files_.push_back(std::make_unique<std::ofstream>(path));  // lint: ofstream-allowed (text sinks)
   if (!files_.back()->is_open()) {
     // Silent row loss is worse than a refusal: scripts must be able to trust
     // that exit 0 means the file holds the sweep.
@@ -131,14 +133,6 @@ std::ostream* BenchArgs::OpenOutput(const std::string& path) {
 
 BenchArgs::~BenchArgs() {
   if (cache_ == nullptr || cache_path_.empty()) {
-    return;
-  }
-  if (cache_load_failed_ && cache_->size() == 0) {
-    // The file on disk failed to load and this run produced nothing to
-    // replace it with; overwriting it would only destroy whatever it still
-    // holds (e.g. entries a differently-versioned binary can read).
-    std::fprintf(stderr, "warning: not overwriting unloadable cache file %s with an empty cache\n",
-                 cache_path_.c_str());
     return;
   }
   std::string save_error;

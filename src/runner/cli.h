@@ -26,12 +26,11 @@ bool ParseIntFlag(const std::string& text, int* value);
 //   --json[=PATH]     emit JSON Lines rows (default: stdout)
 //   --csv[=PATH]      emit CSV rows (default: stdout)
 //   --cache-file=PATH disk-persistent partition cache: loaded before the
-//                     sweep (a missing file starts cold; a corrupted or
-//                     version-mismatched one is rejected with a warning) and
-//                     saved back on exit, so repeated figure runs skip the
-//                     GPU-order search entirely. A file that failed to load
-//                     is only rewritten once the run has new entries to
-//                     save — never clobbered with an empty cache.
+//                     sweep (a missing file starts cold) and saved back on
+//                     exit, so repeated figure runs skip the GPU-order
+//                     search entirely. A file that fails to load (corrupted,
+//                     another version, not a cache at all) is rejected with
+//                     a warning and never overwritten: the run goes cold.
 // Unknown arguments are left for the binary's own use (in order) in `rest`.
 class BenchArgs {
  public:
@@ -50,8 +49,8 @@ class BenchArgs {
   ResultSink* sink();
   // The --cache-file cache (null when the flag is absent).
   PartitionCache* cache() { return cache_.get(); }
-  // The --cache-file path ("" when the flag is absent); hetpipe_serve hands
-  // it to the server's periodic background saver.
+  // The --cache-file path ("" when the flag is absent or its file failed to
+  // load); hetpipe_serve hands it to the server's periodic background saver.
   const std::string& cache_path() const { return cache_path_; }
 
   int threads = 0;
@@ -70,7 +69,6 @@ class BenchArgs {
   MultiSink multi_;
   bool has_sink_ = false;
   std::string cache_path_;
-  bool cache_load_failed_ = false;
   std::unique_ptr<PartitionCache> cache_;
 };
 

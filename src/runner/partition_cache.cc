@@ -1,18 +1,21 @@
 #include "runner/partition_cache.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <memory>
+#include <variant>
 
+#include "runner/result_sink.h"
+#include "store/extent_reader.h"
+#include "store/extent_writer.h"
 #include "util/binary_io.h"
 
 namespace hetpipe::runner {
 namespace {
 
 // The shared FNV-1a (util/binary_io.h): same algorithm this file always
-// used, so every structural fingerprint — and thus every cache key and file
-// checksum — is byte-identical to what older binaries computed.
+// used, so every structural fingerprint — and thus every cache key — is
+// byte-identical to what older binaries computed.
 using Fingerprint = util::Fnv1a;
 
 // The distinct GPU classes present in `cluster`, ordered by name so the
@@ -178,9 +181,9 @@ partition::Partition Remap(partition::Partition partition, const hw::Cluster& cl
   return partition;
 }
 
-// ---- Binary (de)serialization via util/binary_io.h. Little-endian scalars,
-// ---- length-prefixed strings; GPU classes travel by name + numbers, never
-// ---- by handle.
+// ---- Partition (de)serialization: the bytes of a cache file's `partition`
+// ---- column, via util/binary_io.h. Little-endian scalars, length-prefixed
+// ---- strings; GPU classes travel by name + numbers, never by handle.
 
 using util::Cursor;
 using util::PutF64;
@@ -260,14 +263,39 @@ bool DeserializePartition(const std::string& bytes, partition::Partition* out) {
   return true;
 }
 
-constexpr uint32_t kFileMagic = 0x31435048;  // "HPC1"
+// The columns of a cache file row (docs/result-store.md, "Partition cache
+// files"): the file version, the exact key, and SerializePartition's bytes.
+constexpr char kVersionColumn[] = "cache_version";
+constexpr char kKeyColumn[] = "key";
+constexpr char kPartitionColumn[] = "partition";
 
-uint64_t ChecksumBytes(const char* data, size_t size) { return util::Fnv1aBytes(data, size); }
-
-void SetError(std::string* error, const std::string& message) {
-  if (error != nullptr) {
-    *error = message;
+// Why `row` is not a current-version cache entry, or "" when it is one.
+std::string EntryProblem(const ResultRow& row) {
+  const Value* version = row.FindValue(kVersionColumn);
+  const Value* key = row.FindValue(kKeyColumn);
+  const Value* bytes = row.FindValue(kPartitionColumn);
+  if (version == nullptr || !std::holds_alternative<int64_t>(*version) || key == nullptr ||
+      !std::holds_alternative<std::string>(*key) || bytes == nullptr ||
+      !std::holds_alternative<std::string>(*bytes)) {
+    return "not a partition cache entry (want int64 cache_version, string key and string "
+           "partition columns)";
   }
+  if (std::get<int64_t>(*version) != PartitionCache::kFileVersion) {
+    return "cache version " + std::to_string(std::get<int64_t>(*version)) + ", expected " +
+           std::to_string(PartitionCache::kFileVersion);
+  }
+  if (std::get<std::string>(*key).empty()) {
+    return "empty cache key";
+  }
+  return "";
+}
+
+ResultRow EntryRow(const std::string& key, std::string partition_bytes) {
+  ResultRow row;
+  row.Set(kVersionColumn, static_cast<int64_t>(PartitionCache::kFileVersion));
+  row.Set(kKeyColumn, key);
+  row.Set(kPartitionColumn, std::move(partition_bytes));
+  return row;
 }
 
 }  // namespace
@@ -382,135 +410,55 @@ int PartitionCache::FindMaxNm(const partition::Partitioner& partitioner,
 }
 
 bool PartitionCache::Save(const std::string& path, std::string* error) const {
-  std::string records;
-  uint64_t count = 0;
+  // Every save of `path` writes through the one `path + ".tmp"`, so two
+  // overlapping saves would interleave their bytes there; they take turns.
+  util::MutexLock save_lock(save_mu_);
+  std::vector<ResultRow> rows;
   {
     // Shared lock: Save only reads, so a periodic background save never
     // blocks concurrent cache hits (inserts wait, which is fine — they are
-    // preceded by a full solve anyway).
+    // preceded by a full solve anyway). The file is written after it drops.
     util::ReaderMutexLock lock(mu_);
-    count = entries_.size() + pending_.size();
+    rows.reserve(entries_.size() + pending_.size());
     for (const auto& [key, entry] : entries_) {
-      std::string blob;
-      PutStr(blob, key);
-      SerializePartition(blob, entry.partition);
-      PutU32(records, static_cast<uint32_t>(blob.size()));
-      records += blob;
+      std::string bytes;
+      SerializePartition(bytes, entry.partition);
+      rows.push_back(EntryRow(key, std::move(bytes)));
     }
     for (const auto& [key, bytes] : pending_) {
-      std::string blob;
-      PutStr(blob, key);
-      blob += bytes;
-      PutU32(records, static_cast<uint32_t>(blob.size()));
-      records += blob;
+      rows.push_back(EntryRow(key, bytes));
     }
   }
-
-  std::string file;
-  PutU32(file, kFileMagic);
-  PutU32(file, kFileVersion);
-  PutU64(file, count);
-  file += records;
-  PutU64(file, ChecksumBytes(records.data(), records.size()));
-
-  // Write-then-rename so a crash (or ENOSPC) mid-save can never leave `path`
-  // truncated: the previous cache survives until the new bytes are complete,
-  // and the rename swaps them in atomically (same directory, so it cannot
-  // degrade to a copy).
-  const std::string tmp_path = path + ".tmp";
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out.is_open()) {
-      SetError(error, "cannot open " + tmp_path + " for writing");
-      return false;
-    }
-    out.write(file.data(), static_cast<std::streamsize>(file.size()));
-    out.flush();
-    if (!out.good()) {
-      SetError(error, "short write to " + tmp_path);
-      out.close();
-      std::remove(tmp_path.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    SetError(error, "cannot rename " + tmp_path + " to " + path);
-    std::remove(tmp_path.c_str());
+  std::unique_ptr<store::ExtentWriter> writer = store::ExtentWriter::Open(path, error);
+  if (writer == nullptr) {
     return false;
   }
-  return true;
+  for (const ResultRow& row : rows) {
+    writer->Append(row);
+  }
+  return writer->Finalize(error);
 }
 
 bool PartitionCache::Load(const std::string& path, std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    SetError(error, "cannot open " + path);
+  std::vector<ResultRow> rows;
+  if (!store::ReadAllRows(path, &rows, error)) {
     return false;
   }
-  std::string file((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-
-  Cursor header(file.data(), file.size());
-  const uint32_t magic = header.Get<uint32_t>();
-  const uint32_t version = header.Get<uint32_t>();
-  const uint64_t count = header.Get<uint64_t>();
-  if (!header.ok() || magic != kFileMagic) {
-    SetError(error, path + " is not a partition cache file");
-    return false;
-  }
-  if (version != kFileVersion) {
-    SetError(error, path + " has cache version " + std::to_string(version) + ", expected " +
-                        std::to_string(kFileVersion));
-    return false;
-  }
-  if (header.left() < sizeof(uint64_t)) {
-    SetError(error, path + " is truncated");
-    return false;
-  }
-
-  const size_t header_size = file.size() - header.left();
-  const size_t records_size = header.left() - sizeof(uint64_t);
-  const char* records = file.data() + header_size;
-  uint64_t stored_checksum = 0;
-  std::memcpy(&stored_checksum, records + records_size, sizeof(stored_checksum));
-  if (ChecksumBytes(records, records_size) != stored_checksum) {
-    SetError(error, path + " failed its checksum (corrupted)");
-    return false;
-  }
-
-  std::vector<std::pair<std::string, std::string>> loaded;
-  size_t offset = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    if (records_size - offset < sizeof(uint32_t)) {
-      SetError(error, path + " is truncated");
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const std::string problem = EntryProblem(rows[i]);
+    if (!problem.empty()) {
+      if (error != nullptr) {
+        *error = path + ": row " + std::to_string(i) + ": " + problem;
+      }
       return false;
     }
-    uint32_t blob_size = 0;
-    std::memcpy(&blob_size, records + offset, sizeof(blob_size));
-    offset += sizeof(blob_size);
-    if (blob_size > records_size - offset) {
-      SetError(error, path + " is truncated");
-      return false;
-    }
-    Cursor blob_cursor(records + offset, blob_size);
-    std::string key = blob_cursor.GetStr();
-    if (!blob_cursor.ok() || key.empty()) {
-      SetError(error, path + " contains a malformed entry");
-      return false;
-    }
-    const size_t key_bytes = blob_size - blob_cursor.left();
-    loaded.emplace_back(std::move(key),
-                        std::string(records + offset + key_bytes, blob_cursor.left()));
-    offset += blob_size;
-  }
-  if (offset != records_size) {
-    SetError(error, path + " has trailing bytes after its entries");
-    return false;
   }
 
   util::WriterMutexLock lock(mu_);
-  for (auto& [key, bytes] : loaded) {
+  for (const ResultRow& row : rows) {
+    const std::string& key = std::get<std::string>(*row.FindValue(kKeyColumn));
     if (entries_.find(key) == entries_.end() && pending_.find(key) == pending_.end()) {
-      pending_.emplace(std::move(key), std::move(bytes));
+      pending_.emplace(key, std::get<std::string>(*row.FindValue(kPartitionColumn)));
     }
   }
   EvictOverCapacityLocked();

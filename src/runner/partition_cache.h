@@ -45,37 +45,43 @@ namespace hetpipe::runner {
 // count as older than any materialized one) and evictions() counts it. A
 // long-running service should set a bound; batch sweeps need not.
 //
-// Disk persistence: Save writes a versioned, checksummed binary snapshot and
-// Load merges one back (entries already in memory win), so repeated figure
-// runs skip the order search entirely (--cache-file in runner/cli.h). Save is
-// safe to call concurrently with reads and solves — `hetpipe_serve` calls it
-// periodically from a background thread — and writes a temp file renamed over
-// the target, so a crash mid-save never corrupts the previous snapshot.
+// Disk persistence: Save writes a snapshot as an ordinary .hds store file
+// (store/extent_writer.h; docs/result-store.md, "Partition cache files"), one
+// row per entry, and Load merges one back (entries already in memory win),
+// so repeated figure runs skip the order search entirely (--cache-file in
+// runner/cli.h). The store supplies the per-extent checksums, the
+// truncation and corruption checks, and the temp-file-then-rename that
+// keeps a crash mid-save from ever corrupting the previous snapshot. Save is
+// safe to call concurrently with reads, solves and other Saves —
+// `hetpipe_serve` calls it periodically from a background thread.
 // Loaded entries stay in serialized form until their key is requested; a key
 // can only match after the experiment has built the same cluster, so every
 // GPU class a loaded entry mentions is resolvable by then. Load rejects
-// truncated, corrupted, or version-mismatched files, leaving the cache
-// unchanged.
+// anything but a sound .hds file whose every row is a current-version entry
+// (a pre-store HPC1 file fails at the store header, a sweep's results file
+// at its first row), leaving the cache unchanged.
 class PartitionCache {
  public:
-  // Bumped whenever the file layout or the key derivation changes; files of
-  // any other version are rejected on Load. v2: link probes moved from
+  // Bumped whenever the file layout or the key derivation changes; entries
+  // of any other version are rejected on Load. v2: link probes moved from
   // (0 B, 1 MiB) to (1 B, 1 MiB) so spec-level latency/intercept knobs are
   // always part of the key. v3: the resolved inter link of every node pair
   // of the virtual worker is probed, so rack topology and per-pair link
   // overrides can never alias a uniform-fabric entry (and vice versa),
   // while topology changes outside the VW's nodes — which cannot affect its
-  // solve — still share entries.
-  static constexpr uint32_t kFileVersion = 3;
+  // solve — still share entries. v4: the file is a .hds store with one
+  // (cache_version, key, partition) row per entry instead of the HPC1
+  // record format; keys are unchanged from v3.
+  static constexpr uint32_t kFileVersion = 4;
 
   // Drop-in for Partitioner::SolveScalable (which IS Solve whenever the
   // resolved strategy is exact — the default for every paper-scale input).
   // Non-exact resolved strategies get their own key suffix, so a beam or
   // hierarchical answer can never alias an exact entry or vice versa; exact
-  // keys are byte-identical to pre-scalable-tier keys, keeping version-3
-  // cache files valid. When `was_hit` is non-null it reports whether the
-  // answer came from the cache (serve responses surface this); materializing
-  // a disk-loaded entry counts as a hit.
+  // keys are byte-identical to pre-scalable-tier keys. When `was_hit` is
+  // non-null it reports whether the answer came from the cache (serve
+  // responses surface this); materializing a disk-loaded entry counts as a
+  // hit.
   partition::Partition Solve(const partition::Partitioner& partitioner,
                              const std::vector<int>& gpu_ids,
                              const partition::PartitionOptions& options,
@@ -95,16 +101,17 @@ class PartitionCache {
 
   // Writes every entry (materialized and still-serialized alike) to `path`,
   // via a temp file in the same directory renamed over the target, so a
-  // crash mid-save never leaves `path` truncated or corrupted. Returns false
-  // and fills `error` (when non-null) on I/O failure (the target is then
-  // untouched).
-  bool Save(const std::string& path, std::string* error = nullptr) const;
+  // crash mid-save never leaves `path` truncated or corrupted. Concurrent
+  // Saves take turns. Returns false and fills `error` (when non-null) on I/O
+  // failure (the target is then untouched).
+  bool Save(const std::string& path, std::string* error = nullptr) const EXCLUDES(save_mu_);
 
   // Merges the entries of a Save'd file; keys already present are kept as-is.
   // If the merge overflows a configured capacity, oldest entries are evicted.
   // Returns false and fills `error` (when non-null) on an unreadable,
-  // truncated, corrupted, or version-mismatched file — the cache is unchanged
-  // in every failure case.
+  // truncated or corrupted file, a .hds file that is not a partition cache,
+  // or an entry of another version — the cache is unchanged in every
+  // failure case.
   bool Load(const std::string& path, std::string* error = nullptr);
 
   int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
@@ -127,6 +134,9 @@ class PartitionCache {
   // Evicts until the bound holds. Caller holds the exclusive lock.
   void EvictOverCapacityLocked() REQUIRES(mu_);
 
+  // Every Save of a path writes through the one `path + ".tmp"`; held for a
+  // whole Save, before mu_, so overlapping Saves cannot interleave there.
+  mutable util::Mutex save_mu_;
   mutable util::SharedMutex mu_;
   std::unordered_map<std::string, Entry> entries_ GUARDED_BY(mu_);
   // Entries merged from disk, still serialized; materialized on first hit.

@@ -37,11 +37,14 @@ std::unique_ptr<ExtentWriter> ExtentWriter::Open(const std::string& path, std::s
                                                  WriterOptions options) {
   std::unique_ptr<ExtentWriter> writer(
       new ExtentWriter(path, path + ".tmp", options));
+  // A writer that fails to open has nothing to finalize: marking it
+  // finalized keeps its destructor from warning about a file never begun.
   writer->out_.open(writer->tmp_path_, std::ios::binary | std::ios::trunc);
   if (!writer->out_.is_open()) {
     if (error != nullptr) {
       *error = "cannot open " + writer->tmp_path_ + " for writing";
     }
+    writer->finalized_ = true;
     return nullptr;
   }
   std::string header;
@@ -53,6 +56,9 @@ std::unique_ptr<ExtentWriter> ExtentWriter::Open(const std::string& path, std::s
     if (error != nullptr) {
       *error = "cannot write header to " + writer->tmp_path_;
     }
+    writer->finalized_ = true;
+    writer->out_.close();
+    std::remove(writer->tmp_path_.c_str());
     return nullptr;
   }
   return writer;
@@ -316,8 +322,8 @@ bool ExtentWriter::Finalize(std::string* error) {
     return false;
   }
   out_.close();
-  // Atomic swap, as in PartitionCache::Save: the previous file at `path`
-  // survives any failure above, and a reader never sees a partial file.
+  // Atomic swap: the previous file at `path` survives any failure above,
+  // and a reader never sees a partial file.
   if (std::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
     SetFailed("cannot rename " + tmp_path_ + " to " + path_);
     if (error != nullptr) {

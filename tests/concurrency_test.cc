@@ -164,6 +164,54 @@ TEST(PartitionCacheStressTest, HammerWithConcurrentSaveAndEviction) {
   std::remove(path.c_str());
 }
 
+TEST(PartitionCacheStressTest, OverlappingSavesToOnePathLeaveALoadableFile) {
+  // Every Save of a path writes through the same temp file. Each round,
+  // eight threads start together, add an entry each and save at once, so
+  // the snapshots differ in size. Unserialized, their bytes would interleave
+  // in the temp file (a shorter snapshot keeping a longer one's tail) and a
+  // save would find its temp file already renamed away.
+  const hw::Cluster cluster = hw::Cluster::Paper();
+  const model::ModelGraph graph = model::BuildResNet152();
+  const model::ModelProfile profile(graph, 32);
+  const partition::Partitioner partitioner(profile, cluster);
+  const std::string path = testing::TempDir() + "hetpipe_concurrency_saves.bin";
+
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 3;
+  PartitionCache cache;
+  std::atomic<int> failed_saves{0};
+  for (int round = 0; round < kRounds; ++round) {
+    std::atomic<int> arrived{0};
+    std::vector<std::thread> savers;
+    for (int t = 0; t < kThreads; ++t) {
+      savers.emplace_back([&, t] {
+        arrived.fetch_add(1);
+        while (arrived.load() < kThreads) {
+          std::this_thread::yield();
+        }
+        partition::PartitionOptions options;
+        options.nm = 1 + round * kThreads + t;
+        cache.Solve(partitioner, {0, 4, 8, 12}, options);
+        std::string error;
+        if (!cache.Save(path, &error)) {
+          ADD_FAILURE() << error;
+          failed_saves.fetch_add(1);
+        }
+      });
+    }
+    for (std::thread& saver : savers) saver.join();
+
+    PartitionCache reloaded;
+    std::string error;
+    ASSERT_TRUE(reloaded.Load(path, &error)) << "round " << round << ": " << error;
+    EXPECT_GE(reloaded.size(), 1);
+    EXPECT_LE(reloaded.size(), cache.size());
+  }
+  EXPECT_EQ(failed_saves.load(), 0);
+  EXPECT_EQ(cache.size(), kThreads * kRounds);
+  std::remove(path.c_str());
+}
+
 TEST(PartitionCacheStressTest, SetCapacityShrinkBelowLiveWhileReadersActive) {
   const hw::Cluster cluster = hw::Cluster::Paper();
   const model::ModelGraph graph = model::BuildResNet152();

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -26,6 +27,8 @@
 #include "runner/result_sink.h"
 #include "runner/sweep_runner.h"
 #include "runner/thread_pool.h"
+#include "store/extent_reader.h"
+#include "store/extent_writer.h"
 
 namespace hetpipe::runner {
 namespace {
@@ -503,6 +506,27 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+// Writes `rows` as a .hds store file at `path`.
+void WriteStoreRows(const std::string& path, const std::vector<ResultRow>& rows) {
+  std::string error;
+  std::unique_ptr<store::ExtentWriter> writer = store::ExtentWriter::Open(path, &error);
+  ASSERT_NE(writer, nullptr) << error;
+  for (const ResultRow& row : rows) {
+    writer->Append(row);
+  }
+  ASSERT_TRUE(writer->Finalize(&error)) << error;
+}
+
+BenchArgs ParseArgs(std::vector<std::string> argv_strings) {
+  argv_strings.insert(argv_strings.begin(), "bench");
+  std::vector<char*> argv;
+  argv.reserve(argv_strings.size());
+  for (std::string& arg : argv_strings) {
+    argv.push_back(arg.data());
+  }
+  return BenchArgs::Parse(static_cast<int>(argv.size()), argv.data());
+}
+
 TEST(PartitionCacheFileTest, SaveLoadSolveRoundTripIsHitIdentical) {
   const hw::Cluster cluster = hw::Cluster::Paper();
   const model::ModelGraph graph = model::BuildResNet152();
@@ -568,37 +592,72 @@ TEST(PartitionCacheFileTest, RejectsTruncatedCorruptedAndMismatchedFiles) {
   EXPECT_FALSE(cache.Load(path + ".does-not-exist", &error));
   EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
 
-  // Truncated at several points, including mid-header and mid-records.
+  // Truncated at several points: mid-header, mid-extent, mid-trailer.
   for (const size_t keep : {size_t{3}, size_t{10}, good.size() / 2, good.size() - 1}) {
     WriteFileBytes(path, good.substr(0, keep));
     EXPECT_FALSE(cache.Load(path, &error)) << "kept " << keep << " bytes";
+    EXPECT_NE(error.find("truncated"), std::string::npos) << error;
     EXPECT_EQ(cache.size(), 0) << "a rejected file must leave the cache unchanged";
   }
 
-  // A flipped byte in the records region fails the checksum.
+  // A flipped byte inside the one extent fails its checksum.
   std::string corrupted = good;
   corrupted[corrupted.size() / 2] = static_cast<char>(corrupted[corrupted.size() / 2] ^ 0x5a);
   WriteFileBytes(path, corrupted);
   EXPECT_FALSE(cache.Load(path, &error));
-  EXPECT_NE(error.find("corrupted"), std::string::npos) << error;
+  EXPECT_NE(error.find("checksum"), std::string::npos) << error;
 
   // Wrong magic.
   std::string bad_magic = good;
   bad_magic[0] = static_cast<char>(bad_magic[0] ^ 0xff);
   WriteFileBytes(path, bad_magic);
   EXPECT_FALSE(cache.Load(path, &error));
-  EXPECT_NE(error.find("not a partition cache"), std::string::npos) << error;
+  EXPECT_NE(error.find("not a .hds file"), std::string::npos) << error;
 
-  // Future version.
+  // Future store version.
   std::string bad_version = good;
   bad_version[4] = static_cast<char>(bad_version[4] + 1);
   WriteFileBytes(path, bad_version);
   EXPECT_FALSE(cache.Load(path, &error));
   EXPECT_NE(error.find("version"), std::string::npos) << error;
 
-  // Trailing garbage after the entries is rejected too.
+  // Trailing garbage after the trailer is rejected too.
   WriteFileBytes(path, good + "garbage");
   EXPECT_FALSE(cache.Load(path, &error));
+  EXPECT_NE(error.find("trailing bytes"), std::string::npos) << error;
+
+  // Sound .hds files whose rows are not current-version entries. The last
+  // case follows a good row with a bad one: Load is all-or-nothing.
+  std::vector<ResultRow> saved;
+  WriteFileBytes(path, good);
+  ASSERT_TRUE(store::ReadAllRows(path, &saved, &error)) << error;
+  ASSERT_EQ(saved.size(), 1u);
+  const std::string key = std::get<std::string>(*saved[0].FindValue("key"));
+  const std::string bytes = std::get<std::string>(*saved[0].FindValue("partition"));
+  const auto entry = [&](int64_t version, const std::string& entry_key) {
+    ResultRow row;
+    row.Set("cache_version", version).Set("key", entry_key).Set("partition", bytes);
+    return row;
+  };
+  ResultRow no_partition;
+  no_partition.Set("cache_version", int64_t{4}).Set("key", key);
+  ResultRow int_key;
+  int_key.Set("cache_version", int64_t{4}).Set("key", int64_t{7}).Set("partition", bytes);
+  const struct {
+    std::vector<ResultRow> rows;
+    const char* want;
+  } mismatched[] = {
+      {{entry(3, key)}, "cache version 3, expected 4"},
+      {{no_partition}, "not a partition cache"},
+      {{int_key}, "not a partition cache"},
+      {{entry(4, "")}, "empty cache key"},
+      {{entry(4, key), entry(5, key + "x")}, "row 1: cache version 5"},
+  };
+  for (const auto& c : mismatched) {
+    WriteStoreRows(path, c.rows);
+    EXPECT_FALSE(cache.Load(path, &error)) << c.want;
+    EXPECT_NE(error.find(c.want), std::string::npos) << error;
+  }
 
   EXPECT_EQ(cache.size(), 0);
   EXPECT_EQ(cache.hits(), 0);
@@ -641,35 +700,65 @@ TEST(PartitionCacheFileTest, SaveIsAtomicWriteThenRename) {
   // file cannot even be created, so the existing bytes survive.
   const std::string untouched = ReadFileBytes(path);
   std::string error;
+  testing::internal::CaptureStderr();
   EXPECT_FALSE(warm.Save("/nonexistent-dir-hetpipe/cache.bin", &error));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "") << "the error is returned, not printed";
   EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
   EXPECT_EQ(ReadFileBytes(path), untouched);
   std::remove(path.c_str());
 }
 
-TEST(PartitionCacheFileTest, RejectsVersion2Files) {
-  // PR 5 bumped the cache format to v3 (per-node-pair link probes in the
-  // key); a v2-era file must be rejected by version, never half-read. This
-  // pins the bump itself, not just "some other version fails".
-  const std::string path = testing::TempDir() + "hetpipe_pcache_v2.bin";
-  std::string v2;
-  const uint32_t magic = 0x31435048;  // "HPC1"
-  const uint32_t version = 2;
-  const uint64_t count = 0;
-  const uint64_t empty_checksum = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
-  v2.append(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  v2.append(reinterpret_cast<const char*>(&version), sizeof(version));
-  v2.append(reinterpret_cast<const char*>(&count), sizeof(count));
-  v2.append(reinterpret_cast<const char*>(&empty_checksum), sizeof(empty_checksum));
-  WriteFileBytes(path, v2);
+TEST(PartitionCacheFileTest, RejectsPreStoreAndNonCacheFiles) {
+  // Cache v4 made the file a .hds store. Files from before (magic "HPC1",
+  // versions 2 and 3, zero entries, FNV-1a checksum of the empty record
+  // region) fail at the store's header check: there is no reader for the
+  // old format, so nothing is half-read.
+  const std::string path = testing::TempDir() + "hetpipe_pcache_hpc1.bin";
+  for (const uint32_t version : {2u, 3u}) {
+    std::string hpc1;
+    const uint32_t magic = 0x31435048;  // "HPC1"
+    const uint64_t count = 0;
+    const uint64_t empty_checksum = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+    hpc1.append(reinterpret_cast<const char*>(&magic), sizeof(magic));
+    hpc1.append(reinterpret_cast<const char*>(&version), sizeof(version));
+    hpc1.append(reinterpret_cast<const char*>(&count), sizeof(count));
+    hpc1.append(reinterpret_cast<const char*>(&empty_checksum), sizeof(empty_checksum));
+    WriteFileBytes(path, hpc1);
 
+    PartitionCache cache;
+    std::string error;
+    EXPECT_FALSE(cache.Load(path, &error)) << "HPC1 version " << version;
+    EXPECT_NE(error.find("not a .hds file"), std::string::npos) << error;
+    EXPECT_EQ(cache.size(), 0);
+  }
+  std::remove(path.c_str());
+
+  // A sweep's results file (`--out=rows.hds`) is a sound store file, but
+  // not a cache. Loading it fails, and a run given it as --cache-file that
+  // adds no entries leaves it byte-identical.
+  const std::string rows_path = testing::TempDir() + "hetpipe_pcache_rows.hds";
+  {
+    std::string error;
+    std::unique_ptr<store::StoreSink> sink = store::StoreSink::Open(rows_path, &error);
+    ASSERT_NE(sink, nullptr) << error;
+    ResultRow row;
+    row.Set("name", "paper/ED").Set("model", "vgg19").Set("nm", 4).Set("feasible", true);
+    sink->Write(row);
+    ASSERT_TRUE(sink->Close(&error)) << error;
+  }
+  const std::string rows_bytes = ReadFileBytes(rows_path);
   PartitionCache cache;
   std::string error;
-  EXPECT_FALSE(cache.Load(path, &error));
-  EXPECT_NE(error.find("version 2"), std::string::npos) << error;
-  EXPECT_NE(error.find("expected 3"), std::string::npos) << error;
+  EXPECT_FALSE(cache.Load(rows_path, &error));
+  EXPECT_NE(error.find("not a partition cache"), std::string::npos) << error;
   EXPECT_EQ(cache.size(), 0);
-  std::remove(path.c_str());
+  {
+    BenchArgs args = ParseArgs({"--cache-file=" + rows_path});
+    ASSERT_NE(args.cache(), nullptr);
+    EXPECT_EQ(args.cache()->size(), 0);
+  }
+  EXPECT_EQ(ReadFileBytes(rows_path), rows_bytes);
+  std::remove(rows_path.c_str());
 }
 
 TEST(PartitionCacheFileTest, LoadMergesWithoutOverwritingExistingEntries) {
@@ -709,34 +798,26 @@ TEST(PartitionCacheFileTest, LoadMergesWithoutOverwritingExistingEntries) {
 
 // ---- BenchArgs: the --cache-file guard and strict flag parsing ----
 
-BenchArgs ParseArgs(std::vector<std::string> argv_strings) {
-  argv_strings.insert(argv_strings.begin(), "bench");
-  std::vector<char*> argv;
-  argv.reserve(argv_strings.size());
-  for (std::string& arg : argv_strings) {
-    argv.push_back(arg.data());
-  }
-  return BenchArgs::Parse(static_cast<int>(argv.size()), argv.data());
-}
-
-TEST(BenchArgsTest, DoesNotClobberUnloadableCacheFileWithAnEmptyCache) {
+TEST(BenchArgsTest, NeverClobbersAnUnloadableCacheFile) {
   const std::string path = testing::TempDir() + "hetpipe_cli_corrupt.cache";
   const std::string garbage = "not a cache file at all";
   WriteFileBytes(path, garbage);
 
   {
-    // Load fails (present but unusable), no entries are added: the
+    // Load fails (present but unusable) and no entries are added: the
     // destructor must leave the file untouched instead of truncating it to
     // an empty cache.
     BenchArgs args = ParseArgs({"--cache-file=" + path});
     ASSERT_NE(args.cache(), nullptr);
     EXPECT_EQ(args.cache()->size(), 0);
+    EXPECT_EQ(args.cache_path(), "");
   }
   EXPECT_EQ(ReadFileBytes(path), garbage);
 
   {
-    // Once the run produced entries, saving over the unusable file is the
-    // right trade: fresh valuable state replaces bytes nothing can load.
+    // Even a run that solved partitions leaves it alone: the file may be a
+    // sweep's results or a cache another binary reads, so only the user may
+    // replace it. The run keeps its cache in memory.
     BenchArgs args = ParseArgs({"--cache-file=" + path});
     const hw::Cluster cluster = hw::Cluster::Paper();
     const model::ModelGraph graph = model::BuildResNet152();
@@ -745,11 +826,9 @@ TEST(BenchArgsTest, DoesNotClobberUnloadableCacheFileWithAnEmptyCache) {
     partition::PartitionOptions options;
     options.nm = 1;
     args.cache()->Solve(partitioner, {0, 4, 8, 12}, options);
+    EXPECT_EQ(args.cache()->size(), 1);
   }
-  PartitionCache reloaded;
-  std::string error;
-  EXPECT_TRUE(reloaded.Load(path, &error)) << error;
-  EXPECT_EQ(reloaded.size(), 1);
+  EXPECT_EQ(ReadFileBytes(path), garbage);
   std::remove(path.c_str());
 }
 
