@@ -25,6 +25,11 @@ std::vector<std::vector<GpuType>> ExpandNodes(const std::vector<NodeGpus>& nodes
   return node_gpus;
 }
 
+// Two links are the same when every transfer costs the same over both.
+bool SameLink(const InfinibandLink& a, const InfinibandLink& b) {
+  return a.EffectiveBandwidth() == b.EffectiveBandwidth() && a.intercept_s() == b.intercept_s();
+}
+
 }  // namespace
 
 Cluster::Cluster(const std::vector<GpuType>& node_types, int gpus_per_node)
@@ -39,6 +44,7 @@ Cluster::Cluster(const std::vector<std::vector<GpuType>>& node_gpus, const PcieL
     : num_nodes_(static_cast<int>(node_gpus.size())),
       pcie_(pcie),
       infiniband_(infiniband),
+      cross_rack_(infiniband),
       name_(std::move(name)) {
   int id = 0;
   for (int n = 0; n < num_nodes_; ++n) {
@@ -77,42 +83,64 @@ std::vector<int> Cluster::GpusOnNode(int node) const {
   return ids;
 }
 
-void Cluster::SetLinkTopology(std::vector<int> rack_of_node,
-                              std::vector<InfinibandLink> pair_links,
-                              std::vector<int> pair_link_index) {
-  const size_t nodes = static_cast<size_t>(num_nodes_);
-  if (!rack_of_node.empty() && rack_of_node.size() != nodes) {
+void Cluster::SetLinkTopology(std::vector<int> rack_of_node, const InfinibandLink& cross_rack,
+                              std::map<std::pair<int, int>, InfinibandLink> overrides) {
+  if (!rack_of_node.empty() && rack_of_node.size() != static_cast<size_t>(num_nodes_)) {
     throw std::invalid_argument("link topology: rack_of_node must name every node");
   }
-  if (!pair_link_index.empty() && pair_link_index.size() != nodes * nodes) {
-    throw std::invalid_argument("link topology: pair_link_index must cover every node pair");
+  // The fabric is uniform when every override matches the inter link and the
+  // cross-rack link either matches it too or is never used because every
+  // cross-rack pair is overridden. Pairs are counted, never visited.
+  int64_t cross_pairs = 0;
+  if (!rack_of_node.empty()) {
+    std::vector<int64_t> rack_sizes(rack_of_node.size(), 0);
+    for (int rack : rack_of_node) {
+      if (rack < 0 || rack >= num_nodes_) {
+        throw std::invalid_argument("link topology: rack ids must be in [0, num_nodes)");
+      }
+      ++rack_sizes[static_cast<size_t>(rack)];
+    }
+    const int64_t nodes = num_nodes_;
+    cross_pairs = nodes * (nodes - 1) / 2;
+    for (int64_t size : rack_sizes) {
+      cross_pairs -= size * (size - 1) / 2;
+    }
   }
-  for (int index : pair_link_index) {
-    if (index < -1 || index >= static_cast<int>(pair_links.size())) {
-      throw std::invalid_argument("link topology: pair link index out of range");
+  int64_t cross_overrides = 0;
+  bool overrides_match_inter = true;
+  for (const auto& [pair, link] : overrides) {
+    if (pair.first < 0 || pair.first >= pair.second || pair.second >= num_nodes_) {
+      throw std::invalid_argument("link topology: override pairs must be in-range (a < b)");
+    }
+    overrides_match_inter = overrides_match_inter && SameLink(link, infiniband_);
+    if (!rack_of_node.empty() && rack_of_node[static_cast<size_t>(pair.first)] !=
+                                     rack_of_node[static_cast<size_t>(pair.second)]) {
+      ++cross_overrides;
     }
   }
   rack_of_node_ = std::move(rack_of_node);
-  pair_links_ = std::move(pair_links);
-  pair_link_index_ = std::move(pair_link_index);
+  cross_rack_ = cross_rack;
+  overrides_ = std::move(overrides);
+  uniform_fabric_ = overrides_match_inter &&
+                    (cross_overrides == cross_pairs || SameLink(cross_rack_, infiniband_));
 }
 
 const LinkModel& Cluster::LinkBetweenNodes(int node_a, int node_b) const {
   if (node_a == node_b) {
     return pcie_;
   }
-  if (pair_link_index_.empty()) {
+  if (uniform_fabric_) {
     return infiniband_;
   }
-  const int index = pair_link_index_.at(static_cast<size_t>(node_a) *
-                                            static_cast<size_t>(num_nodes_) +
-                                        static_cast<size_t>(node_b));
-  return index < 0 ? static_cast<const LinkModel&>(infiniband_)
-                   : pair_links_[static_cast<size_t>(index)];
+  const auto it = overrides_.find({std::min(node_a, node_b), std::max(node_a, node_b)});
+  if (it != overrides_.end()) {
+    return it->second;
+  }
+  return SameRack(node_a, node_b) ? infiniband_ : cross_rack_;
 }
 
 double Cluster::WorstInterTransferTimeFrom(int node, uint64_t bytes) const {
-  if (pair_link_index_.empty() || num_nodes_ < 2) {
+  if (uniform_fabric_ || num_nodes_ < 2) {
     return infiniband_.TransferTime(bytes);
   }
   double worst_s = 0.0;

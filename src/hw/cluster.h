@@ -1,7 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hw/gpu_spec.h"
@@ -84,26 +86,29 @@ class Cluster {
   bool SameRack(int node_a, int node_b) const {
     return rack_of_node_.empty() || NodeRack(node_a) == NodeRack(node_b);
   }
-  // True when every inter-node pair uses the one shared inter link (no rack
-  // degradation and no per-pair overrides); such clusters behave exactly as
-  // before topology support existed.
-  bool UniformFabric() const { return pair_link_index_.empty(); }
+  // True when every inter-node pair resolves to the one shared inter link —
+  // no cross-rack pair differs from it and no override changes a pair, also
+  // when every cross-rack pair is overridden back to the inter values. Such
+  // clusters behave exactly as before topology support existed.
+  bool UniformFabric() const { return uniform_fabric_; }
 
-  // Rack membership and per-node-pair inter links, set by ClusterSpec::Build
-  // (a cluster without them is a uniform fabric). `rack_of_node` is empty or
-  // one rack id per node; `pair_link_index` is empty or num_nodes^2 entries
-  // (row-major, symmetric) indexing `pair_links`, -1 selecting the shared
-  // inter link.
-  void SetLinkTopology(std::vector<int> rack_of_node, std::vector<InfinibandLink> pair_links,
-                       std::vector<int> pair_link_index);
+  // Rack membership, the cross-rack link and the per-pair overrides, set by
+  // ClusterSpec::Build (a cluster without them is a uniform fabric).
+  // `rack_of_node` is empty or one rack id in [0, num_nodes) per node (nodes
+  // sharing an id share a rack). `overrides` maps an ordered node pair
+  // (a < b) to its fully resolved link. Costs O(nodes + overrides).
+  void SetLinkTopology(std::vector<int> rack_of_node, const InfinibandLink& cross_rack,
+                       std::map<std::pair<int, int>, InfinibandLink> overrides);
 
   // Link used between two GPUs: PCIe-class within a node, the pair's
   // network link across nodes.
   const LinkModel& LinkBetween(int gpu_a, int gpu_b) const;
   // Link between a GPU and a (parameter-server) process on node `node`.
   const LinkModel& LinkToNode(int gpu_id, int node) const;
-  // The resolved link between two nodes: PCIe-class when equal, else the
-  // pair's inter-node link (explicit override, cross-rack, or shared inter).
+  // The resolved link between two nodes, the one place that rule lives:
+  // PCIe-class when equal; else the shared inter link on a uniform fabric;
+  // else the pair's override, the cross-rack link when the nodes sit in
+  // different racks, or the shared inter link.
   const LinkModel& LinkBetweenNodes(int node_a, int node_b) const;
   // Slowest inter-node transfer of `bytes` out of `node` across its resolved
   // pair links — the conservative funnel bound used by the PS comm model and
@@ -140,11 +145,12 @@ class Cluster {
   std::vector<Gpu> gpus_;
   PcieLink pcie_;
   InfinibandLink infiniband_;
-  // Rack ids per node (empty: no rack structure) and the pair-resolved inter
-  // links (empty: uniform fabric, every pair shares infiniband_).
+  // Rack ids per node (empty: no rack structure), the link between nodes of
+  // different racks, and the resolved per-pair overrides keyed by (a < b).
   std::vector<int> rack_of_node_;
-  std::vector<InfinibandLink> pair_links_;
-  std::vector<int> pair_link_index_;  // num_nodes^2 or empty; -1 = infiniband_
+  InfinibandLink cross_rack_;
+  std::map<std::pair<int, int>, InfinibandLink> overrides_;
+  bool uniform_fabric_ = true;
   std::string name_;
   std::string spec_text_;
 };

@@ -4,8 +4,12 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_set>
 #include <utility>
 
 namespace hetpipe::hw {
@@ -280,19 +284,6 @@ LinkOverrideDecl ParseLinkOverride(const std::vector<std::string>& tokens,
     *field = value;
   }
   return decl;
-}
-
-// Declared rack index of `node`, or -1 when the node is not named by any
-// rack (an implicit single-node rack of its own).
-int DeclaredRackOf(const ClusterSpec& spec, int node) {
-  for (size_t r = 0; r < spec.racks.size(); ++r) {
-    for (int member : spec.racks[r].nodes) {
-      if (member == node) {
-        return static_cast<int>(r);
-      }
-    }
-  }
-  return -1;
 }
 
 }  // namespace
@@ -628,8 +619,8 @@ void ClusterSpec::Validate() const {
   if (name.find_first_of(" \t\n;#") != std::string::npos) {
     Fail("name \"" + name + "\" must not contain whitespace, ';', or '#'", "");
   }
-  for (size_t i = 0; i < gpu_classes.size(); ++i) {
-    const GpuClassDecl& decl = gpu_classes[i];
+  std::unordered_set<std::string_view> class_names;
+  for (const GpuClassDecl& decl : gpu_classes) {
     // NaN passes a naive `<= 0` check and would silently poison every
     // simulated number (and break the Parse(ToString()) round trip, since
     // NaN != NaN), so the numbers must be finite too.
@@ -647,15 +638,14 @@ void ClusterSpec::Validate() const {
     if (decl.code == ';' || decl.code == '#' || decl.code == '=') {
       Fail("GPU class " + decl.name + " code must not be ';', '#', or '='", "");
     }
-    for (size_t j = 0; j < i; ++j) {
-      if (gpu_classes[j].name == decl.name) {
-        Fail("duplicate GPU class \"" + decl.name + "\"", "");
-      }
+    if (!class_names.insert(decl.name).second) {
+      Fail("duplicate GPU class \"" + decl.name + "\"", "");
     }
   }
   if (nodes.empty()) {
     Fail("at least one node is required", "");
   }
+  int64_t total_gpus = 0;
   for (const NodeDecl& node : nodes) {
     if (node.groups.empty()) {
       Fail("a node needs at least one GPU group", "");
@@ -670,30 +660,30 @@ void ClusterSpec::Validate() const {
           group.type.find_first_of(" \t\n;#{},*") != std::string::npos) {
         Fail("GPU type \"" + group.type + "\" must not contain whitespace or ';#{},*'", "");
       }
-      bool declared = false;
-      for (const GpuClassDecl& decl : gpu_classes) {
-        declared = declared || decl.name == group.type;
-      }
-      if (!declared && FindGpuTypeByName(group.type) == nullptr &&
-          !IsBuiltinCodeLetter(group.type)) {
+      if (class_names.count(group.type) == 0 && !IsBuiltinCodeLetter(group.type) &&
+          FindGpuTypeByName(group.type) == nullptr) {
         Fail("unknown GPU type \"" + group.type + "\"", "");
       }
+      total_gpus += group.count;
     }
+  }
+  if (total_gpus > kMaxGpus) {
+    Fail("declares " + std::to_string(total_gpus) + " GPUs; at most " +
+             std::to_string(kMaxGpus) + " are allowed",
+         "");
   }
   const int num_nodes = static_cast<int>(nodes.size());
   std::vector<int> racked(nodes.size(), 0);
-  for (size_t r = 0; r < racks.size(); ++r) {
-    const RackDecl& rack = racks[r];
+  std::unordered_set<std::string_view> rack_names;
+  for (const RackDecl& rack : racks) {
     // Rack names are re-emitted as bare tokens inside "rack <name> { ... }",
     // so like cluster names they must survive the text round trip.
     if (rack.name.empty() || rack.name.find_first_of(" \t\n;#{}") != std::string::npos) {
       Fail("rack name \"" + rack.name + "\" must not be empty or contain whitespace or ';#{}'",
            "");
     }
-    for (size_t j = 0; j < r; ++j) {
-      if (racks[j].name == rack.name) {
-        Fail("duplicate rack \"" + rack.name + "\"", "");
-      }
+    if (!rack_names.insert(rack.name).second) {
+      Fail("duplicate rack \"" + rack.name + "\"", "");
     }
     if (rack.nodes.empty()) {
       Fail("rack " + rack.name + " needs at least one node", "");
@@ -727,8 +717,8 @@ void ClusterSpec::Validate() const {
       (!std::isfinite(*cross_rack_intercept_s) || *cross_rack_intercept_s < 0.0)) {
     Fail("cross_rack_intercept_s must be finite and non-negative", "");
   }
-  for (size_t i = 0; i < link_overrides.size(); ++i) {
-    const LinkOverrideDecl& decl = link_overrides[i];
+  std::set<std::pair<int, int>> override_pairs;
+  for (const LinkOverrideDecl& decl : link_overrides) {
     if (decl.node_a < 0 || decl.node_b >= num_nodes || decl.node_a >= decl.node_b) {
       Fail("link override needs two distinct in-range nodes, got node" +
                std::to_string(decl.node_a) + "<->node" + std::to_string(decl.node_b),
@@ -752,12 +742,10 @@ void ClusterSpec::Validate() const {
         (!std::isfinite(*decl.intercept_s) || *decl.intercept_s < 0.0)) {
       Fail("link override intercept_s must be finite and non-negative", "");
     }
-    for (size_t j = 0; j < i; ++j) {
-      if (link_overrides[j].node_a == decl.node_a && link_overrides[j].node_b == decl.node_b) {
-        Fail("duplicate link override for node" + std::to_string(decl.node_a) + "<->node" +
-                 std::to_string(decl.node_b),
-             "");
-      }
+    if (!override_pairs.emplace(decl.node_a, decl.node_b).second) {
+      Fail("duplicate link override for node" + std::to_string(decl.node_a) + "<->node" +
+               std::to_string(decl.node_b),
+           "");
     }
   }
   // Like the class numbers, every link knob must be finite: NaN slips past
@@ -787,112 +775,65 @@ void ClusterSpec::Validate() const {
   }
 }
 
-InfinibandLink ClusterSpec::InterLinkBetween(int node_a, int node_b) const {
-  const int num_nodes = static_cast<int>(nodes.size());
-  if (node_a < 0 || node_a >= num_nodes || node_b < 0 || node_b >= num_nodes) {
-    throw std::invalid_argument("cluster spec: InterLinkBetween node index out of range");
-  }
-  double gbits = inter_gbits;
-  double efficiency = inter_efficiency;
-  double intercept_s = inter_intercept_s;
-  if (!racks.empty() && node_a != node_b) {
-    // An un-racked node is its own implicit rack, so any pair not sharing a
-    // declared rack crosses racks.
-    const int rack_a = DeclaredRackOf(*this, node_a);
-    const int rack_b = DeclaredRackOf(*this, node_b);
-    if (rack_a < 0 || rack_b < 0 || rack_a != rack_b) {
-      gbits = cross_rack_gbits.value_or(gbits);
-      efficiency = cross_rack_efficiency.value_or(efficiency);
-      intercept_s = cross_rack_intercept_s.value_or(intercept_s);
-    }
-  }
-  const int lo = std::min(node_a, node_b);
-  const int hi = std::max(node_a, node_b);
-  for (const LinkOverrideDecl& decl : link_overrides) {
-    if (decl.node_a == lo && decl.node_b == hi) {
-      gbits = decl.gbits.value_or(gbits);
-      efficiency = decl.efficiency.value_or(efficiency);
-      intercept_s = decl.intercept_s.value_or(intercept_s);
-      break;
-    }
-  }
-  return InfinibandLink(gbits, efficiency, intercept_s);
-}
-
 Cluster ClusterSpec::Build() const {
   Validate();
   std::vector<std::vector<GpuType>> node_gpus;
   node_gpus.reserve(nodes.size());
+  // Each distinct type name is resolved (and its class registered) once.
+  std::map<std::string_view, GpuType> resolved;
   for (const NodeDecl& node : nodes) {
     std::vector<GpuType> types;
     types.reserve(static_cast<size_t>(node.TotalCount()));
     for (const NodeGroup& group : node.groups) {
-      const GpuType type = ResolveType(*this, group.type);
-      types.insert(types.end(), static_cast<size_t>(group.count), type);
+      auto it = resolved.find(group.type);
+      if (it == resolved.end()) {
+        it = resolved.emplace(group.type, ResolveType(*this, group.type)).first;
+      }
+      types.insert(types.end(), static_cast<size_t>(group.count), it->second);
     }
     node_gpus.push_back(std::move(types));
   }
   Cluster cluster(node_gpus, IntraLink(), InterLink(), name);
   cluster.set_spec_text(ToString());
 
-  if (!racks.empty() || !link_overrides.empty()) {
-    const int h = static_cast<int>(nodes.size());
-    std::vector<int> rack_of;
-    if (!racks.empty()) {
-      rack_of.assign(static_cast<size_t>(h), -1);
-      for (size_t r = 0; r < racks.size(); ++r) {
-        for (int node : racks[r].nodes) {
-          rack_of[static_cast<size_t>(node)] = static_cast<int>(r);
-        }
-      }
-      // Un-racked nodes form implicit single-node racks after the declared
-      // ones, in node order.
-      int next_rack = static_cast<int>(racks.size());
-      for (int& rack : rack_of) {
-        if (rack < 0) {
-          rack = next_rack++;
-        }
-      }
-    }
-    // Resolve every pair; pairs identical to the shared inter link keep the
-    // -1 default, so a spec whose racks/overrides change nothing stays a
-    // uniform fabric (bit-identical links, partitions, and cache keys).
-    const InfinibandLink base = InterLink();
-    std::vector<InfinibandLink> pair_links;
-    std::vector<int> pair_index(static_cast<size_t>(h) * static_cast<size_t>(h), -1);
-    bool any_custom = false;
-    for (int i = 0; i < h; ++i) {
-      for (int j = i + 1; j < h; ++j) {
-        const InfinibandLink link = InterLinkBetween(i, j);
-        if (link.EffectiveBandwidth() == base.EffectiveBandwidth() &&
-            link.intercept_s() == base.intercept_s()) {
-          continue;
-        }
-        int index = -1;
-        for (size_t k = 0; k < pair_links.size(); ++k) {
-          if (pair_links[k].EffectiveBandwidth() == link.EffectiveBandwidth() &&
-              pair_links[k].intercept_s() == link.intercept_s()) {
-            index = static_cast<int>(k);
-            break;
-          }
-        }
-        if (index < 0) {
-          index = static_cast<int>(pair_links.size());
-          pair_links.push_back(link);
-        }
-        pair_index[static_cast<size_t>(i) * static_cast<size_t>(h) + static_cast<size_t>(j)] =
-            index;
-        pair_index[static_cast<size_t>(j) * static_cast<size_t>(h) + static_cast<size_t>(i)] =
-            index;
-        any_custom = true;
-      }
-    }
-    if (!any_custom) {
-      pair_links.clear();
-      pair_index.clear();
-    }
-    cluster.SetLinkTopology(std::move(rack_of), std::move(pair_links), std::move(pair_index));
+  if (racks.empty() && link_overrides.empty()) {
+    return cluster;
   }
+  std::vector<int> rack_of;
+  if (!racks.empty()) {
+    rack_of.assign(nodes.size(), -1);
+    for (size_t r = 0; r < racks.size(); ++r) {
+      for (int node : racks[r].nodes) {
+        rack_of[static_cast<size_t>(node)] = static_cast<int>(r);
+      }
+    }
+    // Un-racked nodes form implicit single-node racks after the declared
+    // ones, in node order.
+    int next_rack = static_cast<int>(racks.size());
+    for (int& rack : rack_of) {
+      if (rack < 0) {
+        rack = next_rack++;
+      }
+    }
+  }
+  const double cross_gbits = cross_rack_gbits.value_or(inter_gbits);
+  const double cross_efficiency = cross_rack_efficiency.value_or(inter_efficiency);
+  const double cross_intercept_s = cross_rack_intercept_s.value_or(inter_intercept_s);
+  // Each override inherits its unset keys from the pair's base link, resolved
+  // here once so the cluster only looks the pair up.
+  std::map<std::pair<int, int>, InfinibandLink> overrides;
+  for (const LinkOverrideDecl& decl : link_overrides) {
+    const bool crosses = !rack_of.empty() && rack_of[static_cast<size_t>(decl.node_a)] !=
+                                                 rack_of[static_cast<size_t>(decl.node_b)];
+    overrides.emplace(
+        std::make_pair(decl.node_a, decl.node_b),
+        InfinibandLink(decl.gbits.value_or(crosses ? cross_gbits : inter_gbits),
+                       decl.efficiency.value_or(crosses ? cross_efficiency : inter_efficiency),
+                       decl.intercept_s.value_or(crosses ? cross_intercept_s : inter_intercept_s)));
+  }
+  cluster.SetLinkTopology(std::move(rack_of),
+                          InfinibandLink(cross_gbits, cross_efficiency, cross_intercept_s),
+                          std::move(overrides));
   return cluster;
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -104,6 +105,10 @@ struct LinkOverrideDecl {
 // field across threads and processes. Link knobs are emitted only when they
 // differ from the defaults, so paper-testbed specs stay bit-identical.
 struct ClusterSpec {
+  // Most GPUs one spec may declare, summed over all nodes: 64x the largest
+  // growth case (g1024), and small enough that Build never exhausts memory.
+  static constexpr int64_t kMaxGpus = 65536;
+
   std::string name;
   std::vector<GpuClassDecl> gpu_classes;
   std::vector<NodeDecl> nodes;
@@ -150,12 +155,6 @@ struct ClusterSpec {
   InfinibandLink InterLink() const {
     return InfinibandLink(inter_gbits, inter_efficiency, inter_intercept_s);
   }
-  // The resolved inter-node link for a specific pair: the inter link, with
-  // cross_rack_* knobs applied when the nodes sit in different racks and the
-  // pair's explicit override (if any) applied on top. Requires a validated
-  // spec; node indices are range-checked.
-  InfinibandLink InterLinkBetween(int node_a, int node_b) const;
-
   // Parses the text form; throws std::invalid_argument (with the offending
   // statement in the message) on malformed input. The result is validated.
   static ClusterSpec Parse(const std::string& text);
@@ -168,16 +167,18 @@ struct ClusterSpec {
   std::string ToString() const;
 
   // Throws std::invalid_argument on an unknown GPU type, a zero-GPU node or
-  // node group, an out-of-range link knob, a non-positive TFLOPS/memory,
-  // duplicate class names, an empty node list, a rack naming an out-of-range
-  // or twice-racked node, a cross-rack knob without racks, or a malformed
-  // link override (self pair, out-of-range node, duplicate pair, no fields,
-  // out-of-range values).
+  // node group, more than kMaxGpus GPUs in total, an out-of-range link knob,
+  // a non-positive TFLOPS/memory, duplicate class names, an empty node list,
+  // a rack naming an out-of-range or twice-racked node, a cross-rack knob
+  // without racks, or a malformed link override (self pair, out-of-range
+  // node, duplicate pair, no fields, out-of-range values). The duplicate
+  // checks are O(n log n).
   void Validate() const;
 
   // Registers the declared GPU classes and materializes the cluster (with
   // spec_text() set to ToString() so experiments can rebuild it anywhere).
-  // Validates first.
+  // Validates first. The link topology costs O(nodes + overrides): rack ids,
+  // one cross-rack link and the resolved overrides, never a per-pair table.
   Cluster Build() const;
 };
 

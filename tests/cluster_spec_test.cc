@@ -4,9 +4,15 @@
 // kFullCluster experiments end-to-end through the sweep runner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
 #include <optional>
+#include <random>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/allocator.h"
@@ -592,9 +598,6 @@ TEST(ClusterSpecTest, ResolvesPairLinksSameRackCrossRackAndOverride) {
   const InfinibandLink overridden(5.0, 0.1, 0.001);
   EXPECT_EQ(cluster.LinkBetweenNodes(0, 2).TransferTime(bytes),
             overridden.TransferTime(bytes));
-  // The spec-level resolver agrees with the built cluster.
-  EXPECT_EQ(spec.InterLinkBetween(0, 2).TransferTime(bytes), overridden.TransferTime(bytes));
-  EXPECT_EQ(spec.InterLinkBetween(1, 2).TransferTime(bytes), cross.TransferTime(bytes));
   // GPU-level routing picks the pair link: GPUs 0 (node0) and 5 (node2).
   EXPECT_EQ(cluster.LinkBetween(0, 5).TransferTime(bytes), overridden.TransferTime(bytes));
   EXPECT_EQ(cluster.LinkToNode(0, 2).TransferTime(bytes), overridden.TransferTime(bytes));
@@ -733,6 +736,317 @@ TEST(ClusterSpecTest, UseClusterRejectsNonUniformFabricWithoutSpecText) {
       ClusterSpec::Parse("node 4xV; node 4xR; rack r0 { node0 }; rack r1 { node1 }").Build();
   rack_only.set_spec_text("");
   EXPECT_THROW(e.UseCluster(rack_only), std::invalid_argument);
+}
+
+// ---- The one pair-link resolver against a reference rule ----
+
+// Declared rack index of `node`, or -1 when no rack names it.
+int ReferenceRackOf(const ClusterSpec& spec, int node) {
+  for (size_t r = 0; r < spec.racks.size(); ++r) {
+    for (int member : spec.racks[r].nodes) {
+      if (member == node) {
+        return static_cast<int>(r);
+      }
+    }
+  }
+  return -1;
+}
+
+// True when the pair shares no declared rack (an un-racked node is its own
+// rack) in a spec that declares racks.
+bool ReferenceCrossesRacks(const ClusterSpec& spec, int node_a, int node_b) {
+  const int rack_a = ReferenceRackOf(spec, node_a);
+  const int rack_b = ReferenceRackOf(spec, node_b);
+  return !spec.racks.empty() && node_a != node_b && (rack_a < 0 || rack_b < 0 || rack_a != rack_b);
+}
+
+// The pair rule, written per pair and straight from the grammar, as the
+// oracle for hw::Cluster: the inter link, with the cross_rack_* knobs applied
+// when the pair crosses racks and the pair's override applied on top.
+InfinibandLink ReferenceInterLink(const ClusterSpec& spec, int node_a, int node_b) {
+  double gbits = spec.inter_gbits;
+  double efficiency = spec.inter_efficiency;
+  double intercept_s = spec.inter_intercept_s;
+  if (ReferenceCrossesRacks(spec, node_a, node_b)) {
+    gbits = spec.cross_rack_gbits.value_or(gbits);
+    efficiency = spec.cross_rack_efficiency.value_or(efficiency);
+    intercept_s = spec.cross_rack_intercept_s.value_or(intercept_s);
+  }
+  for (const LinkOverrideDecl& decl : spec.link_overrides) {
+    if (decl.node_a == std::min(node_a, node_b) && decl.node_b == std::max(node_a, node_b)) {
+      gbits = decl.gbits.value_or(gbits);
+      efficiency = decl.efficiency.value_or(efficiency);
+      intercept_s = decl.intercept_s.value_or(intercept_s);
+    }
+  }
+  return InfinibandLink(gbits, efficiency, intercept_s);
+}
+
+bool SameTransferTimes(const LinkModel& link, const InfinibandLink& reference) {
+  return link.TransferTime(1) == reference.TransferTime(1) &&
+         link.TransferTime(1ULL << 20) == reference.TransferTime(1ULL << 20);
+}
+
+// Checks every node pair of the built cluster against the reference rule and
+// UniformFabric() against "every pair matches the inter link".
+void ExpectPairLinksMatchReference(const ClusterSpec& spec) {
+  SCOPED_TRACE(spec.ToString());
+  const Cluster cluster = spec.Build();
+  const InfinibandLink inter = spec.InterLink();
+  bool every_pair_inter = true;
+  for (int a = 0; a < cluster.num_nodes(); ++a) {
+    for (int b = 0; b < cluster.num_nodes(); ++b) {
+      if (a == b) {
+        EXPECT_EQ(&cluster.LinkBetweenNodes(a, b), static_cast<const LinkModel*>(&cluster.pcie()));
+        continue;
+      }
+      const InfinibandLink reference = ReferenceInterLink(spec, a, b);
+      EXPECT_TRUE(SameTransferTimes(cluster.LinkBetweenNodes(a, b), reference))
+          << "node" << a << "<->node" << b;
+      every_pair_inter = every_pair_inter &&
+                         reference.EffectiveBandwidth() == inter.EffectiveBandwidth() &&
+                         reference.intercept_s() == inter.intercept_s();
+    }
+  }
+  EXPECT_EQ(cluster.UniformFabric(), every_pair_inter);
+}
+
+TEST(ClusterSpecTest, PairLinksMatchTheReferenceRuleOnRandomSpecs) {
+  const std::vector<double> kGbits = {10.0, 25.0, 56.0};
+  const std::vector<double> kEfficiency = {0.11, 0.2};
+  const std::vector<double> kIntercept = {1e-4, 5e-4};
+  int uniform_specs = 0;
+  for (uint32_t seed = 1; seed <= 200; ++seed) {
+    std::mt19937 rng(seed);
+    const auto pick = [&](const std::vector<double>& values) {
+      return values[std::uniform_int_distribution<size_t>(0, values.size() - 1)(rng)];
+    };
+    const auto coin = [&](double p) { return std::bernoulli_distribution(p)(rng); };
+    ClusterSpec spec;
+    const int n = std::uniform_int_distribution<int>(1, 8)(rng);
+    for (int i = 0; i < n; ++i) {
+      spec.AddNode("V", std::uniform_int_distribution<int>(1, 2)(rng));
+    }
+    spec.InterGbits(pick(kGbits)).InterEfficiency(pick(kEfficiency));
+    spec.InterInterceptS(pick(kIntercept));
+    // Each node joins one of up to three racks or stays un-racked (-1).
+    const int num_racks = std::uniform_int_distribution<int>(0, 3)(rng);
+    std::vector<std::vector<int>> members(static_cast<size_t>(num_racks));
+    for (int i = 0; i < n && num_racks > 0; ++i) {
+      const int rack = std::uniform_int_distribution<int>(-1, num_racks - 1)(rng);
+      if (rack >= 0) {
+        members[static_cast<size_t>(rack)].push_back(i);
+      }
+    }
+    for (size_t r = 0; r < members.size(); ++r) {
+      if (!members[r].empty()) {
+        spec.AddRack("r" + std::to_string(r), members[r]);
+      }
+    }
+    if (!spec.racks.empty()) {
+      if (coin(0.5)) {
+        spec.CrossRackGbits(pick(kGbits));
+      }
+      if (coin(0.3)) {
+        spec.CrossRackEfficiency(pick(kEfficiency));
+      }
+      if (coin(0.3)) {
+        spec.CrossRackInterceptS(pick(kIntercept));
+      }
+    }
+    for (int a = 0; a < n; ++a) {
+      for (int b = a + 1; b < n; ++b) {
+        if (!coin(0.35)) {
+          continue;
+        }
+        if (coin(0.2)) {
+          // Restates the pair's base link: only gbits set, to its base value.
+          spec.OverrideLink(a, b,
+                            ReferenceCrossesRacks(spec, a, b)
+                                ? spec.cross_rack_gbits.value_or(spec.inter_gbits)
+                                : spec.inter_gbits);
+        } else if (coin(0.25)) {
+          // Pins the pair to the inter link, whatever its rack placement.
+          spec.OverrideLink(a, b, spec.inter_gbits, spec.inter_efficiency,
+                            spec.inter_intercept_s);
+        } else {
+          std::optional<double> gbits;
+          std::optional<double> efficiency;
+          std::optional<double> intercept_s;
+          if (coin(0.6)) {
+            gbits = pick(kGbits);
+          }
+          if (coin(0.4)) {
+            efficiency = pick(kEfficiency);
+          }
+          if (coin(0.4) || (!gbits && !efficiency)) {
+            intercept_s = pick(kIntercept);
+          }
+          spec.OverrideLink(a, b, gbits, efficiency, intercept_s);
+        }
+      }
+    }
+    spec.Validate();
+    ExpectPairLinksMatchReference(spec);
+    ASSERT_FALSE(HasFailure()) << "seed " << seed;
+    uniform_specs += spec.Build().UniformFabric() ? 1 : 0;
+  }
+  // The generator reaches both sides of UniformFabric().
+  EXPECT_GT(uniform_specs, 10);
+  EXPECT_LT(uniform_specs, 190);
+}
+
+TEST(ClusterSpecTest, EveryCrossRackPairOverriddenToInterIsUniform) {
+  // The cross-rack knob differs from the inter link, but no pair uses it:
+  // every cross-rack pair is overridden back to the inter values.
+  ClusterSpec spec = ClusterSpec::Parse(
+      "node 2xV; node 2xV; node 2xV; node 2xV; rack r0 { node0 node1 }; rack r1 { node2 };"
+      "cross_rack_gbits 10");
+  const std::vector<std::pair<int, int>> cross_pairs = {{0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}};
+  for (const auto& [a, b] : cross_pairs) {
+    spec.OverrideLink(a, b, spec.inter_gbits);
+  }
+  EXPECT_TRUE(spec.Build().UniformFabric());
+  ExpectPairLinksMatchReference(spec);
+  // Leave one cross-rack pair on the cross-rack link and the fabric is no
+  // longer uniform.
+  spec.link_overrides.pop_back();
+  EXPECT_FALSE(spec.Build().UniformFabric());
+  ExpectPairLinksMatchReference(spec);
+  // An override that changes a same-rack pair breaks uniformity too.
+  ClusterSpec same_rack = ClusterSpec::Parse(
+      "node 2xV; node 2xV; node 2xV; rack r0 { node0 node1 node2 }; link node0<->node1 gbits 10");
+  EXPECT_FALSE(same_rack.Build().UniformFabric());
+  ExpectPairLinksMatchReference(same_rack);
+}
+
+// ---- Bounded cost on hostile specs ----
+
+// Build is O(nodes + overrides) and Validate O(n log n), so each spec below
+// (at most about 870 KB, inside a 1 MiB serve frame) parses and builds in
+// tens of milliseconds on a Release build and well under the bound on the
+// Debug sanitizer lanes; resolving every node pair took seconds to hours.
+constexpr double kHostileSpecBoundS = 2.0;
+
+// The std::invalid_argument message `validate` throws ("" when it does not).
+template <typename Validate>
+std::string ValidationError(Validate&& validate) {
+  try {
+    validate();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Wall-clock seconds `step` takes.
+template <typename Step>
+double SecondsFor(Step&& step) {
+  const auto begin = std::chrono::steady_clock::now();
+  step();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
+}
+
+// Parses and builds `text`, storing the wall-clock seconds spent.
+Cluster TimedParseAndBuild(const std::string& text, double* seconds) {
+  std::optional<Cluster> cluster;
+  *seconds = SecondsFor([&] { cluster.emplace(ClusterSpec::Parse(text).Build()); });
+  return *cluster;
+}
+
+std::string NodeLines(int n) {
+  std::string text;
+  for (int i = 0; i < n; ++i) {
+    text += "node 1xV\n";
+  }
+  return text;
+}
+
+TEST(ClusterSpecTest, OneRackAndACrossRackKnobOnManyNodesBuildsFast) {
+  double seconds = 0.0;
+  const Cluster cluster = TimedParseAndBuild(
+      NodeLines(20000) + "rack r0 { node0 }\ncross_rack_gbits 10\n", &seconds);
+  EXPECT_LT(seconds, kHostileSpecBoundS);
+  EXPECT_FALSE(cluster.UniformFabric());
+  const InfinibandLink cross(10.0, InfinibandLink::kDefaultEfficiency,
+                             InfinibandLink::kDefaultIntercept);
+  // node0 is racked; every other node is its own implicit rack.
+  EXPECT_TRUE(SameTransferTimes(cluster.LinkBetweenNodes(0, 19999), cross));
+  EXPECT_TRUE(SameTransferTimes(cluster.LinkBetweenNodes(1, 2), cross));
+}
+
+TEST(ClusterSpecTest, OneRackPerNodeBuildsFast) {
+  std::string text = NodeLines(2000);
+  for (int i = 0; i < 2000; ++i) {
+    text += "rack r" + std::to_string(i) + " { node" + std::to_string(i) + " }\n";
+  }
+  double seconds = 0.0;
+  const Cluster cluster = TimedParseAndBuild(text + "cross_rack_gbits 10\n", &seconds);
+  EXPECT_LT(seconds, kHostileSpecBoundS);
+  EXPECT_FALSE(cluster.UniformFabric());
+  EXPECT_EQ(cluster.NodeRack(1999), 1999);
+}
+
+TEST(ClusterSpecTest, OneOverridePerNodeBuildsFast) {
+  std::string text = NodeLines(3000);
+  for (int i = 0; i < 3000; ++i) {
+    text += "link node" + std::to_string(i) + "<->node" + std::to_string((i + 1) % 3000) +
+            " gbits 10\n";
+  }
+  double seconds = 0.0;
+  const Cluster cluster = TimedParseAndBuild(text, &seconds);
+  EXPECT_LT(seconds, kHostileSpecBoundS);
+  EXPECT_FALSE(cluster.UniformFabric());
+  const InfinibandLink overridden(10.0, InfinibandLink::kDefaultEfficiency,
+                                  InfinibandLink::kDefaultIntercept);
+  EXPECT_TRUE(SameTransferTimes(cluster.LinkBetweenNodes(2999, 0), overridden));
+  EXPECT_TRUE(SameTransferTimes(cluster.LinkBetweenNodes(0, 2), cluster.infiniband()));
+}
+
+TEST(ClusterSpecTest, ManyRacksValidateAndBuildFast) {
+  std::string text = NodeLines(30000);
+  for (int i = 0; i < 30000; ++i) {
+    text += "rack r" + std::to_string(i) + " { node" + std::to_string(i) + " }\n";
+  }
+  // Only Build is timed: it validates every rack name and membership again
+  // before laying out the racks. Tokenizing the 60k statements is linear, but
+  // on the Debug TSan lane it alone takes over a second.
+  const ClusterSpec spec = ClusterSpec::Parse(text);
+  std::optional<Cluster> cluster;
+  EXPECT_LT(SecondsFor([&] { cluster.emplace(spec.Build()); }), kHostileSpecBoundS);
+  // Racks alone change no link.
+  EXPECT_TRUE(cluster->UniformFabric());
+  // The duplicate checks still fire, with their messages, on large specs.
+  ClusterSpec duplicates = spec;
+  duplicates.racks.back().name = "r0";
+  EXPECT_EQ(ValidationError([&] { duplicates.Validate(); }),
+            "cluster spec: duplicate rack \"r0\"");
+  duplicates = spec;
+  duplicates.OverrideLink(0, 1, 10.0).OverrideLink(1, 0, 20.0);
+  EXPECT_EQ(ValidationError([&] { duplicates.Validate(); }),
+            "cluster spec: duplicate link override for node0<->node1");
+  duplicates = spec;
+  duplicates.AddGpuClass("BulkCard", 5.0, 16.0).AddGpuClass("BulkCard", 5.0, 16.0);
+  EXPECT_EQ(ValidationError([&] { duplicates.Validate(); }),
+            "cluster spec: duplicate GPU class \"BulkCard\"");
+}
+
+TEST(ClusterSpecTest, RejectsMoreGpusThanTheCapBeforeAllocating) {
+  // Validation rejects the spec before Build could allocate one GPU entry
+  // per declared GPU (8 GB here), and the sum cannot wrap around int.
+  EXPECT_THROW(ClusterSpec::Parse("node 2000000000xV"), std::invalid_argument);
+  EXPECT_THROW(ClusterSpec::Parse("node 2000000000xV; node 2000000000xV"),
+               std::invalid_argument);
+  EXPECT_THROW(ClusterSpec::Parse("node{V*2000000000,R*2000000000}"), std::invalid_argument);
+  EXPECT_THROW(ClusterSpec().AddNode("V", 2000000000).Build(), std::invalid_argument);
+  ClusterSpec at_cap;
+  for (int i = 0; i < 16; ++i) {
+    at_cap.AddNode("V", static_cast<int>(ClusterSpec::kMaxGpus / 16));
+  }
+  EXPECT_NO_THROW(at_cap.Validate());
+  at_cap.AddNode("V", 1);
+  EXPECT_EQ(ValidationError([&] { at_cap.Validate(); }),
+            "cluster spec: declares 65537 GPUs; at most 65536 are allowed");
 }
 
 TEST(ClusterSpecTest, GenericGraphExperimentCarriesModelName) {
