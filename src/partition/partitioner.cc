@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <mutex>
 #include <set>
 #include <utility>
 
 #include "runner/thread_pool.h"
+#include "util/binary_io.h"
 
 namespace hetpipe::partition {
 
@@ -158,6 +160,80 @@ std::string Partition::ToString(const model::ModelProfile& profile) const {
 
 Partitioner::Partitioner(const model::ModelProfile& profile, const hw::Cluster& cluster)
     : profile_(&profile), cluster_(&cluster) {}
+
+namespace {
+
+// The distinct GPU classes present in `cluster`, ordered by name so the
+// result is independent of registration order (and thus of the process).
+std::vector<const hw::GpuSpec*> PresentSpecs(const hw::Cluster& cluster) {
+  std::vector<const hw::GpuSpec*> specs;
+  for (const hw::Gpu& gpu : cluster.gpus()) {
+    const hw::GpuSpec& spec = hw::SpecOf(gpu.type);
+    bool known = false;
+    for (const hw::GpuSpec* s : specs) {
+      known = known || s == &spec;
+    }
+    if (!known) {
+      specs.push_back(&spec);
+    }
+  }
+  std::sort(specs.begin(), specs.end(),
+            [](const hw::GpuSpec* a, const hw::GpuSpec* b) {
+              return std::strcmp(a->name, b->name) < 0;
+            });
+  return specs;
+}
+
+// Everything the per-layer cost model feeds the partitioner: compute times on
+// every GPU class present in the cluster, boundary transfer sizes, stash and
+// param bytes (memory model), and the class identities (name, declared
+// TFLOPS, memory capacity) those times and caps derive from. Value-based, so
+// two processes that build the same cluster spec agree on the fingerprint.
+uint64_t ProfileFingerprint(const model::ModelProfile& profile, const hw::Cluster& cluster) {
+  const std::vector<const hw::GpuSpec*> specs = PresentSpecs(cluster);
+  util::Fnv1a fp;
+  fp.Mix(profile.graph().name());
+  fp.Mix(static_cast<uint64_t>(profile.batch_size()));
+  for (const hw::GpuSpec* spec : specs) {
+    fp.Mix(std::string(spec->name));
+    fp.Mix(spec->effective_tflops);
+    fp.Mix(spec->memory_gib);
+  }
+  for (int layer = 0; layer < profile.num_layers(); ++layer) {
+    for (const hw::GpuSpec* spec : specs) {
+      const model::LayerTime& t = profile.TimeOf(layer, spec->type);
+      fp.Mix(t.fwd_s);
+      fp.Mix(t.bwd_s);
+    }
+    fp.Mix(profile.BoundaryTransferBytes(layer));
+    fp.Mix(profile.graph().layer(layer).param_bytes);
+    fp.Mix(profile.graph().StashBytesInRange(layer, layer));
+  }
+  return fp.value();
+}
+
+}  // namespace
+
+uint64_t Partitioner::ContextFingerprint() const {
+  std::call_once(context_once_, [this] {
+    util::Fnv1a fp;
+    fp.Mix(ProfileFingerprint(*profile_, *cluster_));
+    fp.Mix(cluster_->ToString());
+    // Two probes at distinct non-zero sizes fully characterize each affine
+    // link model: t(1) = latency + 1/bw and t(1 MiB) = latency + 1 MiB/bw pin
+    // down both coefficients, so clusters differing in any link knob —
+    // bandwidth, scaling/efficiency, or latency/intercept — never share a
+    // key. (A 0-byte probe would be blind to latency: TransferTime(0) is 0
+    // by definition, so latency-only and latency+bandwidth-aliased changes
+    // could collide.)
+    fp.Mix(cluster_->pcie().TransferTime(1));
+    fp.Mix(cluster_->pcie().TransferTime(1ULL << 20));
+    fp.Mix(cluster_->infiniband().TransferTime(1));
+    fp.Mix(cluster_->infiniband().TransferTime(1ULL << 20));
+    context_fingerprint_ = fp.value();
+  });
+  return context_fingerprint_;
+}
 
 Partition BuildFixedPartition(const model::ModelProfile& profile, const hw::Cluster& cluster,
                               const std::vector<int>& gpu_ids,

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -176,6 +177,16 @@ class Partitioner {
   const model::ModelProfile& profile() const { return *profile_; }
   const hw::Cluster& cluster() const { return *cluster_; }
 
+  // FNV-1a state over everything Solve's answer depends on that is fixed by
+  // this partitioner's (profile, cluster): the profile on every GPU class
+  // present, the cluster layout and its PCIe and Infiniband link probes. The
+  // partition cache's keys resume from this state (runner/partition_cache.h),
+  // so it is part of every persisted key and must never change for the same
+  // inputs. Computed on the first call, under std::call_once because one
+  // partitioner may serve many request threads, and reused after; the
+  // profile and cluster must not be mutated once it has been taken.
+  uint64_t ContextFingerprint() const;
+
  private:
   // Solves with a fixed stage->GPU assignment (gpu_ids[i] runs stage i).
   // DP states whose bottleneck strictly exceeds `prune_above` are abandoned;
@@ -189,6 +200,8 @@ class Partitioner {
 
   const model::ModelProfile* profile_;
   const hw::Cluster* cluster_;
+  mutable std::once_flag context_once_;
+  mutable uint64_t context_fingerprint_ = 0;
 };
 
 // Number of times the calling thread's reusable partitioner scratch had to

@@ -91,25 +91,33 @@ void VirtualWorkerSim::BeginTask(int q, const Task& task) {
   Stage& stage = stages_[static_cast<size_t>(q)];
   stage.busy = true;
   const auto [comm_s, compute_s] = TaskCost(task);
-  const sim::SimTime start = simulator_->now();
-  const sim::SimTime compute_start = start + comm_s;
-  const sim::SimTime end = compute_start + compute_s;
-  simulator_->ScheduleAt(end, [this, q, task, start, compute_start, end] {
-    stages_[static_cast<size_t>(q)].busy = false;
-    stages_[static_cast<size_t>(q)].compute_busy.AddBusy(compute_start, end);
-    if (options_.tracer != nullptr) {
-      if (compute_start > start) {
-        options_.tracer->Add(
-            {"recv " + ToString(task), "comm", task.stage, start, compute_start});
-      }
-      const char* category = task.kind == TaskKind::kForward
-                                 ? "forward"
-                                 : (task.kind == TaskKind::kBackward ? "backward" : "xfwbw");
-      options_.tracer->Add({ToString(task), category, task.stage, compute_start, end});
+  stage.task = task;
+  stage.task_start = simulator_->now();
+  stage.task_compute_start = stage.task_start + comm_s;
+  stage.task_end = stage.task_compute_start + compute_s;
+  simulator_->ScheduleAt(stage.task_end, [this, q] { FinishTask(q); });
+}
+
+void VirtualWorkerSim::FinishTask(int q) {
+  Stage& stage = stages_[static_cast<size_t>(q)];
+  // OnTaskDone and TryDispatch may start a new task on this stage, which
+  // overwrites the record; everything read from it is used before then.
+  const Task task = stage.task;
+  stage.busy = false;
+  stage.compute_busy.AddBusy(stage.task_compute_start, stage.task_end);
+  if (options_.tracer != nullptr) {
+    if (stage.task_compute_start > stage.task_start) {
+      options_.tracer->Add({"recv " + ToString(task), "comm", task.stage, stage.task_start,
+                            stage.task_compute_start});
     }
-    OnTaskDone(q, task);
-    TryDispatch(q);
-  });
+    const char* category = task.kind == TaskKind::kForward
+                               ? "forward"
+                               : (task.kind == TaskKind::kBackward ? "backward" : "xfwbw");
+    options_.tracer->Add(
+        {ToString(task), category, task.stage, stage.task_compute_start, stage.task_end});
+  }
+  OnTaskDone(q, task);
+  TryDispatch(q);
 }
 
 std::pair<double, double> VirtualWorkerSim::TaskCost(const Task& task) {

@@ -95,6 +95,12 @@ class VirtualWorkerSim {
     explicit Stage(int index) : queue(index) {}
     StageQueue queue;
     bool busy = false;
+    // The running task (valid while busy): a stage runs one task at a time,
+    // so its completion event needs to capture only the stage index.
+    Task task;
+    sim::SimTime task_start = 0.0;
+    sim::SimTime task_compute_start = 0.0;
+    sim::SimTime task_end = 0.0;
     sim::BusyTracker compute_busy;
   };
 
@@ -104,6 +110,8 @@ class VirtualWorkerSim {
   void Inject(int64_t p);
   void TryDispatch(int q);
   void BeginTask(int q, const Task& task);
+  // Completion event of stage q's running task.
+  void FinishTask(int q);
   void OnTaskDone(int q, const Task& task);
   void OnMinibatchComplete(int64_t p);
   // (comm_in_s, compute_s) of a task at its stage, jitter applied to compute.

@@ -21,7 +21,14 @@ namespace hetpipe::runner {
 // flag, memory params) — everything
 // Partitioner::Solve's result depends on. Keys are value-based (GPU class
 // names and numbers, never process-local handles), so they are stable across
-// processes and safe to persist.
+// processes and safe to persist. The key's context part — the profile
+// fingerprint, the cluster layout and the PCIe/Infiniband link probes — is
+// fixed by the partitioner's inputs, so it is hashed once per Partitioner
+// (Partitioner::ContextFingerprint, memoized there under std::call_once) and
+// each lookup resumes the FNV-1a hash from that state; only the virtual
+// worker's node-pair probes, its signature and the options are hashed per
+// lookup. The key bytes are the same as hashing everything per lookup
+// (runner_test pins literal keys).
 //
 // Because Solve's answer depends on the GPUs only through their (class, node)
 // multiset, a hit for a *different* GPU-id set with the same signature is

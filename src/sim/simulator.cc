@@ -25,7 +25,7 @@ void Simulator::RunUntil(SimTime deadline) { Dispatch(deadline); }
 void Simulator::Dispatch(const SimTime deadline) {
   stopped_ = false;
   while (!queue_.empty() && !stopped_) {
-    if (queue_.Top().time > deadline) {
+    if (queue_.TopTime() > deadline) {
       now_ = deadline;
       return;
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace hetpipe::sim {
 
@@ -28,6 +29,10 @@ void BusyTracker::AddBusy(SimTime start, SimTime end) {
   if (end <= start) {
     return;
   }
+  if (!intervals_.empty() && start < intervals_.back().end) {
+    throw std::invalid_argument(
+        "BusyTracker::AddBusy: interval starts before the previous one ends");
+  }
   busy_ += end - start;
   intervals_.push_back({start, end});
 }
@@ -37,13 +42,15 @@ double BusyTracker::Utilization(SimTime window_start, SimTime window_end) const 
   if (window <= 0.0) {
     return 0.0;
   }
+  // Intervals are sorted and disjoint, so their ends are sorted too: skip
+  // every interval that ends by window_start, then sum the run that starts
+  // before window_end. Intervals outside that run contribute nothing.
+  auto it = std::upper_bound(
+      intervals_.begin(), intervals_.end(), window_start,
+      [](SimTime t, const Interval& iv) { return t < iv.end; });
   SimTime busy_in_window = 0.0;
-  for (const Interval& iv : intervals_) {
-    const SimTime s = std::max(iv.start, window_start);
-    const SimTime e = std::min(iv.end, window_end);
-    if (e > s) {
-      busy_in_window += e - s;
-    }
+  for (; it != intervals_.end() && it->start < window_end; ++it) {
+    busy_in_window += std::min(it->end, window_end) - std::max(it->start, window_start);
   }
   return std::min(1.0, busy_in_window / window);
 }

@@ -37,13 +37,18 @@ class Accumulator {
 // utilization = busy / elapsed can be reported, as in Fig. 3 of the paper.
 class BusyTracker {
  public:
-  // Records a busy interval [start, end). Intervals are assumed
-  // non-overlapping (a GPU executes one task at a time).
+  // Records a busy interval [start, end); empty intervals (end <= start) are
+  // ignored. Intervals must arrive in time order without overlapping (a GPU
+  // executes one task at a time): a start before the previous interval's end
+  // throws std::invalid_argument and records nothing. That order is what
+  // lets Utilization find a window by binary search.
   void AddBusy(SimTime start, SimTime end);
 
   SimTime busy_time() const { return busy_; }
   // Utilization in [0, 1] over the window [window_start, window_end); only
-  // busy time that falls inside the window counts.
+  // busy time that falls inside the window counts. O(log n + intervals that
+  // meet the window); the sum adds the same terms in the same order as a
+  // scan over every interval would, so the result is bit-identical to it.
   double Utilization(SimTime window_start, SimTime window_end) const;
 
  private:

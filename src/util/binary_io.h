@@ -17,6 +17,11 @@ namespace hetpipe::util {
 // corruption-detection checksums (not cryptographic).
 class Fnv1a {
  public:
+  Fnv1a() = default;
+  // Resumes from a state an earlier instance reported through value(), so a
+  // shared prefix can be hashed once and extended many times.
+  explicit Fnv1a(uint64_t state) : hash_(state) {}
+
   void MixByte(unsigned char b) { hash_ = (hash_ ^ b) * 0x100000001b3ULL; }
   void Mix(uint64_t v) {
     for (int i = 0; i < 8; ++i) {

@@ -164,6 +164,66 @@ TEST(PartitionCacheStressTest, HammerWithConcurrentSaveAndEviction) {
   std::remove(path.c_str());
 }
 
+TEST(PartitionCacheStressTest, FirstLookupsRaceOnTheKeyContextMemo) {
+  // The key's context part is memoized per Partitioner on first use. Eight
+  // threads start together and make the first lookups through one shared
+  // partitioner and cache, so they all race to fill that memo; every thread
+  // must still see the partitions a serial run produces, and the cache must
+  // hold exactly the keys a serial run makes (no thread saw a half-built
+  // context and keyed an entry off it).
+  const hw::Cluster cluster = hw::Cluster::Paper();
+  const model::ModelGraph graph = model::BuildResNet152();
+  const model::ModelProfile profile(graph, 32);
+  const std::vector<std::vector<int>> vws = {{0, 4, 8, 12}, {1, 5, 9, 13}, {0, 1, 2, 3}};
+
+  // The reference runs on its own partitioner, so the shared one's memo is
+  // still empty when the threads start.
+  PartitionCache serial_cache;
+  std::vector<partition::Partition> expected;
+  {
+    const partition::Partitioner reference(profile, cluster);
+    for (const std::vector<int>& vw : vws) {
+      for (int nm = 1; nm <= 2; ++nm) {
+        partition::PartitionOptions options;
+        options.nm = nm;
+        expected.push_back(serial_cache.Solve(reference, vw, options));
+      }
+    }
+  }
+
+  const partition::Partitioner partitioner(profile, cluster);
+  PartitionCache cache;
+  std::atomic<int> ready{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < 8) {
+        std::this_thread::yield();
+      }
+      for (size_t i = 0; i < expected.size(); ++i) {
+        const size_t j = (i + static_cast<size_t>(t)) % expected.size();
+        partition::PartitionOptions options;
+        options.nm = 1 + static_cast<int>(j % 2);
+        const partition::Partition got = cache.Solve(partitioner, vws[j / 2], options);
+        if (!SamePartition(got, expected[j]) ||
+            got.ToString(profile) != expected[j].ToString(profile)) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(cache.size(), serial_cache.size());
+  EXPECT_EQ(cache.hits() + cache.misses(), 8 * static_cast<int64_t>(expected.size()));
+  EXPECT_EQ(partitioner.ContextFingerprint(),
+            partition::Partitioner(profile, cluster).ContextFingerprint());
+}
+
 TEST(PartitionCacheStressTest, OverlappingSavesToOnePathLeaveALoadableFile) {
   // Every Save of a path writes through the same temp file. Each round,
   // eight threads start together, add an entry each and save at once, so

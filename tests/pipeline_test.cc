@@ -9,6 +9,7 @@
 #include "pipeline/task.h"
 #include "pipeline/virtual_worker.h"
 #include "sim/simulator.h"
+#include "sim/trace.h"
 
 namespace hetpipe::pipeline {
 namespace {
@@ -255,6 +256,42 @@ TEST_F(VirtualWorkerTest, DeterministicAcrossRuns) {
       EXPECT_DOUBLE_EQ(vw.last_completion_time(), first);
     }
   }
+}
+
+TEST_F(VirtualWorkerTest, TracerDoesNotChangeTheRun) {
+  // Tracing happens in the task-completion handler, reading the stage's
+  // running-task record; attaching a tracer must not move a single timestamp.
+  const partition::Partition partition = MakePartition({0, 4, 8, 12}, 3);
+  sim::Tracer tracer;
+  std::vector<sim::SimTime> completions[2];
+  double utilization[2] = {0.0, 0.0};
+  for (int traced = 0; traced < 2; ++traced) {
+    sim::Simulator simulator;
+    OpenGate gate;
+    VirtualWorkerOptions options;
+    options.nm = 3;
+    options.jitter_cv = 0.1;
+    options.drift_cv = 0.05;
+    options.seed = 11;
+    options.max_minibatches = 24;
+    options.tracer = traced == 1 ? &tracer : nullptr;
+    VirtualWorkerSim vw(0, simulator, partition, gate, options);
+    vw.Start();
+    simulator.Run();
+    completions[traced] = vw.completion_times();
+    utilization[traced] = vw.MaxStageUtilization(0.0, simulator.now());
+  }
+  ASSERT_EQ(completions[0].size(), 24u);
+  EXPECT_EQ(completions[0], completions[1]);
+  EXPECT_EQ(utilization[0], utilization[1]);
+  // Every task of every stage was traced: one compute interval per task
+  // (24 minibatches x 4 stages, the last stage's FW+BW fused into one).
+  int compute_events = 0;
+  for (const sim::TraceEvent& event : tracer.events()) {
+    compute_events += event.category != "comm" ? 1 : 0;
+    EXPECT_LE(event.end, completions[1].back());
+  }
+  EXPECT_EQ(compute_events, 24 * (2 * 4 - 1));
 }
 
 }  // namespace

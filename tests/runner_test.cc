@@ -324,6 +324,59 @@ TEST(PartitionCacheTest, TopologyOnlyChangesAlterTheKey) {
                       hit);
 }
 
+// The one key a cache holding a single solve of `gpu_ids` writes to disk.
+std::string SavedKey(const partition::Partitioner& partitioner, const std::vector<int>& gpu_ids,
+                     const partition::PartitionOptions& options) {
+  PartitionCache cache;
+  cache.Solve(partitioner, gpu_ids, options);
+  const std::string path = testing::TempDir() + "hetpipe_pcache_pinned_key.hds";
+  std::string error;
+  EXPECT_TRUE(cache.Save(path, &error)) << error;
+  std::vector<ResultRow> rows;
+  EXPECT_TRUE(store::ReadAllRows(path, &rows, &error)) << error;
+  std::remove(path.c_str());
+  if (rows.size() != 1) {
+    ADD_FAILURE() << "expected one saved entry, got " << rows.size();
+    return "";
+  }
+  return std::get<std::string>(*rows[0].FindValue("key"));
+}
+
+TEST(PartitionCacheTest, SavedKeysArePinnedVerbatim) {
+  // Exact keys are persisted, so any change to their derivation silently
+  // strands every cache file on disk. These literals were recorded before
+  // the key's context part (profile fingerprint, cluster layout, link
+  // probes) was memoized per Partitioner; they must never drift without a
+  // kFileVersion bump.
+  const model::ModelGraph graph = model::BuildResNet152();
+  const model::ModelProfile profile(graph, 32);
+  const hw::Cluster paper = hw::Cluster::Paper();
+  const partition::Partitioner paper_partitioner(profile, paper);
+  partition::PartitionOptions options;
+  options.nm = 2;
+  EXPECT_EQ(SavedKey(paper_partitioner, {0, 4, 8, 12}, options),
+            "9345527161442817580|GeForce RTX 2060@2;Quadro P4000@3;TITAN RTX@1;TITAN V@0;"
+            "nm2s1");
+
+  const hw::Cluster racked =
+      hw::ClusterSpec::Parse(
+          "gpu TopoCard tflops=8 mem=32; node 1xTopoCard; node 1xTopoCard; node 1xTopoCard; "
+          "rack r0 { node0 node1 }; rack r1 { node2 }; cross_rack_gbits 5; "
+          "link node0<->node1 gbits 2")
+          .Build();
+  // Profiled after the spec registers TopoCard, so the class has times.
+  const model::ModelProfile racked_profile(graph, 32);
+  const partition::Partitioner racked_partitioner(racked_profile, racked);
+  EXPECT_EQ(SavedKey(racked_partitioner, {0, 1, 2}, options),
+            "18400500871842374279|TopoCard@0;TopoCard@1;TopoCard@2;nm2s1");
+
+  partition::PartitionOptions beam_options = options;
+  beam_options.strategy = partition::SearchStrategy::kBeam;
+  EXPECT_EQ(SavedKey(paper_partitioner, {0, 4, 8, 12}, beam_options),
+            "9345527161442817580|GeForce RTX 2060@2;Quadro P4000@3;TITAN RTX@1;TITAN V@0;"
+            "nm2s1|beam w8");
+}
+
 TEST(ThreadPoolTest, SubmitRunsEveryTaskBeforeDestruction) {
   std::atomic<int> ran{0};
   {

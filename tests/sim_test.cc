@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -45,6 +49,41 @@ TEST(EventQueueTest, SizeTracksPushPop) {
   EXPECT_EQ(q.size(), 2u);
   q.Pop();
   EXPECT_EQ(q.size(), 1u);
+}
+
+TEST(SimulatorTest, StressFiresInTimeThenSeqOrderWithReentrantSchedules) {
+  // 100k events on a coarse time grid, so many share a time; some of them
+  // schedule further events while they run. Scheduling from inside an action
+  // reuses the queue slot that action was popped from and, while the queue
+  // still grows, grows the slot vector mid-dispatch. Events are numbered in
+  // scheduling order, which is the queue's seq; the firing order must equal
+  // the events sorted by (time, seq).
+  constexpr int kInitial = 100000;
+  Simulator sim;
+  Rng rng(7);
+  std::vector<std::pair<SimTime, uint64_t>> scheduled;  // (time, seq)
+  std::vector<std::pair<SimTime, uint64_t>> fired;
+  std::function<void(SimTime, int)> schedule = [&](SimTime time, int depth) {
+    const uint64_t seq = scheduled.size();
+    scheduled.emplace_back(time, seq);
+    sim.ScheduleAt(time, [&, time, seq, depth] {
+      fired.emplace_back(sim.now(), seq);
+      if (depth < 3 && seq % 4 == 0) {
+        for (uint64_t child = 0; child <= seq % 3; ++child) {
+          schedule(time + static_cast<double>(rng.UniformInt(0, 8)), depth + 1);
+        }
+      }
+    });
+  };
+  for (int i = 0; i < kInitial; ++i) {
+    schedule(static_cast<double>(rng.UniformInt(0, 999)), 0);
+  }
+  sim.Run();
+  EXPECT_GT(scheduled.size(), static_cast<size_t>(kInitial + kInitial / 4));
+  EXPECT_EQ(sim.events_processed(), scheduled.size());
+  std::vector<std::pair<SimTime, uint64_t>> reference = scheduled;
+  std::sort(reference.begin(), reference.end());
+  EXPECT_EQ(fired, reference);
 }
 
 TEST(SimulatorTest, AdvancesTimeToEventTimestamps) {
@@ -193,6 +232,81 @@ TEST(BusyTrackerTest, IgnoresEmptyIntervalsAndEmptyWindows) {
   tracker.AddBusy(2.0, 1.0);  // end < start: ignored
   EXPECT_DOUBLE_EQ(tracker.busy_time(), 0.0);
   EXPECT_DOUBLE_EQ(tracker.Utilization(5.0, 5.0), 0.0);
+}
+
+// The linear scan BusyTracker::Utilization used before its binary search:
+// the oracle the windowed query must match bit for bit.
+double ScanUtilization(const std::vector<std::pair<SimTime, SimTime>>& intervals,
+                       SimTime window_start, SimTime window_end) {
+  const SimTime window = window_end - window_start;
+  if (window <= 0.0) {
+    return 0.0;
+  }
+  SimTime busy_in_window = 0.0;
+  for (const auto& [start, end] : intervals) {
+    const SimTime s = std::max(start, window_start);
+    const SimTime e = std::min(end, window_end);
+    if (e > s) {
+      busy_in_window += e - s;
+    }
+  }
+  return std::min(1.0, busy_in_window / window);
+}
+
+TEST(BusyTrackerTest, WindowedUtilizationMatchesLinearScanBitExactly) {
+  for (uint64_t seed = 1; seed <= 500; ++seed) {
+    Rng rng(seed);
+    BusyTracker tracker;
+    std::vector<std::pair<SimTime, SimTime>> intervals;
+    SimTime t = rng.Uniform(0.0, 2.0);
+    const int64_t n = rng.UniformInt(0, 40);
+    for (int64_t i = 0; i < n; ++i) {
+      // Gaps are sometimes zero, so intervals also touch end to start.
+      t += rng.UniformInt(0, 3) == 0 ? 0.0 : rng.Uniform(0.0, 1.5);
+      const SimTime end = t + rng.Uniform(1e-3, 2.0);
+      tracker.AddBusy(t, end);
+      intervals.emplace_back(t, end);
+      t = end;
+    }
+    const SimTime first = intervals.empty() ? 0.0 : intervals.front().first;
+    const SimTime last = intervals.empty() ? 1.0 : intervals.back().second;
+    std::vector<std::pair<SimTime, SimTime>> windows = {
+        {first - 5.0, first - 1.0},  // before every interval
+        {last + 1.0, last + 5.0},    // after every interval
+        {first - 1.0, last + 1.0},   // across all of them
+        {first, last},
+        {last, first},               // inverted: empty
+        {first, first},              // empty
+    };
+    for (const auto& [start, end] : intervals) {
+      windows.emplace_back(start, end);                    // exactly one interval
+      windows.emplace_back(start + (end - start) / 3.0,    // inside one interval
+                           end - (end - start) / 3.0);
+      windows.emplace_back(end, end);                      // empty, on a boundary
+    }
+    for (int w = 0; w < 40; ++w) {
+      const SimTime a = rng.Uniform(first - 2.0, last + 2.0);
+      const SimTime b = rng.Uniform(first - 2.0, last + 2.0);
+      windows.emplace_back(std::min(a, b), std::max(a, b));  // across some intervals
+    }
+    for (const auto& [window_start, window_end] : windows) {
+      EXPECT_EQ(tracker.Utilization(window_start, window_end),
+                ScanUtilization(intervals, window_start, window_end))
+          << "seed " << seed << " window [" << window_start << ", " << window_end << ")";
+    }
+  }
+}
+
+TEST(BusyTrackerTest, RejectsOutOfOrderAndOverlappingIntervals) {
+  BusyTracker tracker;
+  tracker.AddBusy(1.0, 2.0);
+  tracker.AddBusy(2.0, 3.0);  // touching the previous end is fine
+  EXPECT_THROW(tracker.AddBusy(0.0, 0.5), std::invalid_argument);  // out of order
+  EXPECT_THROW(tracker.AddBusy(2.5, 4.0), std::invalid_argument);  // overlapping
+  tracker.AddBusy(2.5, 2.5);  // empty: ignored, not rejected
+  // A rejected interval records nothing.
+  EXPECT_DOUBLE_EQ(tracker.busy_time(), 2.0);
+  EXPECT_DOUBLE_EQ(tracker.Utilization(0.0, 4.0), 0.5);
 }
 
 TEST(TimeSeriesTest, InterpolatesLinearly) {
