@@ -30,11 +30,12 @@ int main(int argc, char** argv) {
   std::printf("cluster: %s\n", cluster.ToString().c_str());
 
   for (const bool vgg : {false, true}) {
-    const model::ModelGraph graph = vgg ? model::BuildVgg19() : model::BuildResNet152();
-    std::printf("\n=== %s ===\n", graph.Summary().c_str());
+    // Profile the model on this cluster once; every run below reuses it.
+    const core::SolveContext context(cluster, vgg ? model::BuildVgg19() : model::BuildResNet152(),
+                                     32);
+    std::printf("\n=== %s ===\n", context.graph.Summary().c_str());
 
-    const model::ModelProfile profile(graph, 32);
-    const dp::HorovodResult horovod = dp::SimulateHorovod(cluster, profile);
+    const dp::HorovodResult horovod = dp::SimulateHorovod(cluster, context.profile);
     std::printf("%-22s %s\n", "Horovod baseline:", horovod.ToString().c_str());
 
     struct Setup {
@@ -55,7 +56,7 @@ int main(int argc, char** argv) {
       config.allocation = setup.allocation;
       config.placement = setup.placement;
       config.jitter_cv = 0.1;
-      const core::HetPipeReport report = core::HetPipe(cluster, graph, config).Run();
+      const core::HetPipeReport report = core::HetPipe(context, config).Run();
       if (!report.feasible) {
         std::printf("%-22s infeasible: %s\n", setup.label, report.infeasible_reason.c_str());
         continue;
@@ -68,7 +69,7 @@ int main(int argc, char** argv) {
       core::HetPipeConfig config;
       config.allocation = cluster::AllocationPolicy::kHybridDistribution;
       config.jitter_cv = 0.1;
-      const core::HetPipeReport report = core::HetPipe(cluster, graph, config).Run();
+      const core::HetPipeReport report = core::HetPipe(context, config).Run();
       if (report.feasible) {
         std::printf("%-22s %7.0f img/s  (Nm=%d)\n", "HetPipe HD", report.throughput_img_s,
                     report.nm);

@@ -31,7 +31,9 @@ int main() {
   config.placement = wsp::PlacementPolicy::kLocal;
   config.sync = wsp::SyncPolicy::Wsp(0);
 
-  const core::HetPipeReport report = core::HetPipe(cluster, graph, config).Run();
+  // 4. Profile the model on the cluster once (§7) and run.
+  const core::SolveContext context(cluster, graph, config.batch_size);
+  const core::HetPipeReport report = core::HetPipe(context, config).Run();
   if (!report.feasible) {
     std::printf("HetPipe infeasible: %s\n", report.infeasible_reason.c_str());
     return 1;
@@ -46,9 +48,9 @@ int main() {
                 vw.throughput_img_s, 100.0 * vw.max_stage_utilization);
   }
 
-  // 4. Baseline: BSP data parallelism over AllReduce (Horovod).
-  const model::ModelProfile profile(graph, config.batch_size);
-  const dp::HorovodResult horovod = dp::SimulateHorovod(cluster, profile);
+  // 5. Baseline: BSP data parallelism over AllReduce (Horovod), on the same
+  //    profile.
+  const dp::HorovodResult horovod = dp::SimulateHorovod(cluster, context.profile);
   std::printf("\nHorovod: %s\n", horovod.ToString().c_str());
   std::printf("\nHetPipe speedup: %.2fx (and it uses the %d GPUs Horovod had to exclude)\n",
               report.throughput_img_s / horovod.throughput_img_s, horovod.num_excluded);

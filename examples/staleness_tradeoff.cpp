@@ -21,6 +21,7 @@ int main() {
   std::printf("%6s %10s %12s %14s %16s\n", "D", "img/s", "wait (s)", "staleness",
               "hours to 67%");
 
+  const core::SolveContext context(cluster, graph, 32);
   for (int d : {0, 1, 2, 4, 8, 16, 32}) {
     core::HetPipeConfig config;
     config.allocation = cluster::AllocationPolicy::kEqualDistribution;
@@ -28,7 +29,7 @@ int main() {
     config.sync = wsp::SyncPolicy::Wsp(d);
     config.jitter_cv = 0.15;
     config.waves = 50;
-    const core::HetPipeReport report = core::HetPipe(cluster, graph, config).Run();
+    const core::HetPipeReport report = core::HetPipe(context, config).Run();
     core::ConvergenceInput input;
     input.throughput_img_s = report.throughput_img_s;
     input.avg_missing_updates = report.AvgMissingUpdates();

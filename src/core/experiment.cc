@@ -3,17 +3,14 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "hw/cluster_spec.h"
 #include "model/resnet.h"
 #include "model/vgg.h"
-#include "pipeline/virtual_worker.h"
 #include "runner/partition_cache.h"
 #include "runner/sweep_runner.h"
-#include "sim/simulator.h"
 
 namespace hetpipe::core {
 namespace {
@@ -299,29 +296,20 @@ HetPipeConfig EdLocalConfig(int d, double jitter_cv) {
 
 namespace {
 
-ExperimentResult RunPartitionOnly(const Experiment& experiment, const hw::Cluster& cluster,
-                                  const model::ModelGraph& graph) {
+ExperimentResult RunPartitionOnly(const Experiment& experiment, const SolveContext& context) {
   ExperimentResult result;
-  const model::ModelProfile profile(graph, experiment.config.batch_size);
-  const partition::Partitioner partitioner(profile, cluster);
-  const std::vector<int> gpu_ids = PickGpus(cluster, experiment.vw_codes);
+  const std::vector<int> gpu_ids = PickGpus(context.cluster, experiment.vw_codes);
   const int nm = std::max(1, experiment.config.nm);
 
   if (experiment.strategy == PartitionStrategy::kMinMaxDp) {
-    partition::PartitionOptions options;
-    options.nm = nm;
-    options.mem_params = experiment.config.mem_params;
-    options.pool = experiment.config.pool;
-    result.partition = experiment.config.partition_cache != nullptr
-                           ? experiment.config.partition_cache->Solve(partitioner, gpu_ids, options)
-                           : partitioner.Solve(gpu_ids, options);
+    result.partition = SolvePartition(context, gpu_ids, nm, experiment.config);
   } else {
     const partition::NaiveSplit kind = experiment.strategy == PartitionStrategy::kEqualLayers
                                            ? partition::NaiveSplit::kEqualLayers
                                            : partition::NaiveSplit::kParamBalanced;
     result.partition = partition::BuildFixedPartition(
-        profile, cluster, gpu_ids,
-        partition::NaiveStageLasts(graph, static_cast<int>(gpu_ids.size()), kind), nm,
+        context.profile, context.cluster, gpu_ids,
+        partition::NaiveStageLasts(context.graph, static_cast<int>(gpu_ids.size()), kind), nm,
         experiment.config.mem_params);
   }
   result.feasible = !result.partition.stages.empty();
@@ -329,81 +317,64 @@ ExperimentResult RunPartitionOnly(const Experiment& experiment, const hw::Cluste
   // The ablations simulate naive splits even when they blow the memory cap;
   // `partition.feasible` still records whether every stage fits.
   if (experiment.simulate && result.feasible) {
-    sim::Simulator simulator;
-    pipeline::OpenGate gate;
-    pipeline::VirtualWorkerOptions options;
-    options.nm = nm;
-    options.jitter_cv = experiment.config.jitter_cv;
-    options.seed = experiment.config.seed;
-    options.max_minibatches = experiment.config.waves * nm;
-    pipeline::VirtualWorkerSim vw(0, simulator, result.partition, gate, options);
-    vw.Start();
-    simulator.Run();
     result.throughput_img_s =
-        SteadyStateThroughput(vw.completion_times(), experiment.config.warmup_waves * nm,
-                              experiment.config.batch_size);
+        SimulateSingleWorker(result.partition, nm, experiment.config).throughput_img_s;
   }
   return result;
 }
 
 }  // namespace
 
-ExperimentResult RunExperiment(const Experiment& experiment) {
-  const hw::Cluster cluster = experiment.cluster_spec.empty()
-                                  ? hw::Cluster::PaperSubset(experiment.cluster_nodes)
-                                  : hw::ClusterSpec::Parse(experiment.cluster_spec).Build();
-  std::optional<model::ModelGraph> built_model;
-  if (experiment.graph == nullptr) {
-    built_model.emplace(BuildModel(experiment.model));
-  }
-  const model::ModelGraph& graph =
-      experiment.graph != nullptr ? *experiment.graph : *built_model;
+std::shared_ptr<const SolveContext> BuildSolveContext(const Experiment& experiment) {
+  hw::Cluster cluster = experiment.cluster_spec.empty()
+                            ? hw::Cluster::PaperSubset(experiment.cluster_nodes)
+                            : hw::ClusterSpec::Parse(experiment.cluster_spec).Build();
+  model::ModelGraph graph =
+      experiment.graph != nullptr ? *experiment.graph : BuildModel(experiment.model);
+  return std::make_shared<const SolveContext>(std::move(cluster), std::move(graph),
+                                              experiment.config.batch_size);
+}
 
+ExperimentResult RunExperiment(const Experiment& experiment) {
+  return RunExperiment(experiment, *BuildSolveContext(experiment));
+}
+
+ExperimentResult RunExperiment(const Experiment& experiment, const SolveContext& context) {
   ExperimentResult result;
   switch (experiment.kind) {
-    case ExperimentKind::kFullCluster: {
-      result.report = HetPipe(cluster, graph, experiment.config).Run();
+    case ExperimentKind::kFullCluster:
+      result.report = HetPipe(context, experiment.config).Run();
       result.feasible = result.report.feasible;
       result.throughput_img_s = result.report.throughput_img_s;
       break;
-    }
-    case ExperimentKind::kSingleVirtualWorker: {
-      const std::vector<int> gpu_ids = PickGpus(cluster, experiment.vw_codes);
-      const int nm = std::max(1, experiment.config.nm);
-      result.report =
-          HetPipe::RunSingleVirtualWorker(cluster, graph, gpu_ids, nm, experiment.config);
+    case ExperimentKind::kSingleVirtualWorker:
+      result.report = HetPipe(context, experiment.config)
+                          .RunSingleVirtualWorker(PickGpus(context.cluster, experiment.vw_codes),
+                                                  std::max(1, experiment.config.nm));
       result.feasible = result.report.feasible;
       result.throughput_img_s = result.report.throughput_img_s;
-      if (result.feasible && !result.report.vws.empty()) {
+      if (result.feasible) {
         result.partition = result.report.vws.front().partition;
       }
       break;
-    }
-    case ExperimentKind::kPartitionOnly: {
-      result = RunPartitionOnly(experiment, cluster, graph);
+    case ExperimentKind::kPartitionOnly:
+      result = RunPartitionOnly(experiment, context);
       break;
-    }
-    case ExperimentKind::kHorovod: {
-      const model::ModelProfile profile(graph, experiment.config.batch_size);
-      result.horovod = dp::SimulateHorovod(cluster, profile);
+    case ExperimentKind::kHorovod:
+      result.horovod = dp::SimulateHorovod(context.cluster, context.profile);
       result.feasible = result.horovod.feasible;
       result.throughput_img_s = result.horovod.throughput_img_s;
       break;
-    }
-    case ExperimentKind::kPsDataParallel: {
-      const model::ModelProfile profile(graph, experiment.config.batch_size);
-      result.ps = dp::SimulatePsDataParallel(cluster, profile, experiment.ps);
+    case ExperimentKind::kPsDataParallel:
+      result.ps = dp::SimulatePsDataParallel(context.cluster, context.profile, experiment.ps);
       result.feasible = result.ps.feasible;
       result.throughput_img_s = result.ps.throughput_img_s;
       break;
-    }
-    case ExperimentKind::kAdPsgd: {
-      const model::ModelProfile profile(graph, experiment.config.batch_size);
-      result.adpsgd = dp::SimulateAdPsgd(cluster, profile);
+    case ExperimentKind::kAdPsgd:
+      result.adpsgd = dp::SimulateAdPsgd(context.cluster, context.profile);
       result.feasible = result.adpsgd.feasible;
       result.throughput_img_s = result.adpsgd.throughput_img_s;
       break;
-    }
   }
   result.name = experiment.name.empty() ? experiment.Describe() : experiment.name;
   return result;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -69,8 +70,8 @@ struct Experiment {
   ExperimentKind kind = ExperimentKind::kFullCluster;
   ModelKind model = ModelKind::kResNet152;
   // Model to run when not null: a caller-owned graph (e.g. a generic model no
-  // ModelKind names) shared read-only across sweep threads. `model` is
-  // ignored in that case and `model_name` labels the rows.
+  // ModelKind names) that must outlive any SweepRunner::Run running it.
+  // `model` is ignored in that case and `model_name` labels the rows.
   const model::ModelGraph* graph = nullptr;
   // Row label for the model; empty means ModelName(model).
   std::string model_name;
@@ -123,10 +124,15 @@ struct ExperimentResult {
   dp::DecentralizedResult adpsgd;   // kAdPsgd
 };
 
-// Runs one experiment synchronously on the calling thread. Deterministic:
-// the same Experiment always produces the same result, with or without a
+// The solving context of the experiment's (cluster, model, batch size).
+std::shared_ptr<const SolveContext> BuildSolveContext(const Experiment& experiment);
+
+// Runs one experiment synchronously on the calling thread, on a context built
+// for its (cluster, model, batch size). Deterministic: the same Experiment
+// always produces the same result, on any such context, with or without a
 // partition cache in its config. This is the unit of work SweepRunner
-// schedules.
+// schedules; the one-argument form builds a context for this run alone.
+ExperimentResult RunExperiment(const Experiment& experiment, const SolveContext& context);
 ExperimentResult RunExperiment(const Experiment& experiment);
 
 // ---- Fig. 3: single-virtual-worker throughput and utilization vs Nm. ----

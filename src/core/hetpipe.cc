@@ -3,30 +3,31 @@
 #include <algorithm>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 
+#include "pipeline/virtual_worker.h"
 #include "runner/partition_cache.h"
 #include "sim/simulator.h"
 #include "wsp/sync_policy.h"
 
 namespace hetpipe::core {
-
-double SteadyStateThroughput(const std::vector<sim::SimTime>& completion_times, int64_t warmup,
-                             int batch_size) {
-  const int64_t n = static_cast<int64_t>(completion_times.size());
-  if (n <= warmup + 1) {
-    return 0.0;
-  }
-  const double window = completion_times.back() - completion_times[static_cast<size_t>(warmup)];
-  if (window <= 0.0) {
-    return 0.0;
-  }
-  return static_cast<double>(n - 1 - warmup) * batch_size / window;
-}
-
 namespace {
 
-double MeasureThroughput(const pipeline::VirtualWorkerSim& vw, int64_t warmup, int batch) {
-  return SteadyStateThroughput(vw.completion_times(), warmup, batch);
+// A virtual worker's steady-state throughput (images/s) and highest stage
+// utilization up to `end`, both excluding the first `warmup` minibatch
+// completions while the pipeline fills.
+VwReport Measure(const pipeline::VirtualWorkerSim& vw, int64_t warmup, int batch_size,
+                 sim::SimTime end) {
+  VwReport vr;
+  const std::vector<sim::SimTime>& done = vw.completion_times();
+  const int64_t n = static_cast<int64_t>(done.size());
+  const sim::SimTime warm_time = n > warmup ? done[static_cast<size_t>(warmup)] : 0.0;
+  const double window = done.empty() ? 0.0 : done.back() - warm_time;
+  if (n > warmup + 1 && window > 0.0) {
+    vr.throughput_img_s = static_cast<double>(n - 1 - warmup) * batch_size / window;
+  }
+  vr.max_stage_utilization = vw.MaxStageUtilization(warm_time, end);
+  return vr;
 }
 
 }  // namespace
@@ -51,19 +52,25 @@ std::string HetPipeReport::Summary() const {
   return os.str();
 }
 
-HetPipe::HetPipe(const hw::Cluster& cluster, const model::ModelGraph& graph,
-                 HetPipeConfig config)
-    : cluster_(&cluster), graph_(&graph), config_(std::move(config)) {}
+HetPipe::HetPipe(const SolveContext& context, HetPipeConfig config)
+    : context_(&context), config_(std::move(config)) {
+  if (config_.batch_size != context.batch_size()) {
+    throw std::invalid_argument("HetPipe: config.batch_size " +
+                                std::to_string(config_.batch_size) +
+                                " differs from the context's batch size " +
+                                std::to_string(context.batch_size()));
+  }
+}
 
 HetPipeReport HetPipe::Run() const {
   HetPipeReport report;
-  const cluster::Allocation alloc = cluster::Allocate(*cluster_, config_.allocation);
-  const model::ModelProfile profile(*graph_, config_.batch_size);
+  const hw::Cluster& cluster = context_->cluster;
+  const cluster::Allocation alloc = cluster::Allocate(cluster, config_.allocation);
   // The partitioner's DP tables live in thread-local scratch reused across
   // solves, so the Maxm probes, the Nm estimate loop, and the final solves
   // below allocate no DP state per call — neither here nor on sweep-runner
   // worker threads running many Experiments in sequence.
-  const partition::Partitioner partitioner(profile, *cluster_);
+  const partition::Partitioner& partitioner = context_->partitioner;
 
   // A run revisits the same virtual-worker shapes many times (the Maxm probe,
   // the Nm estimate loop, the final solve — and under ED all VWs share one
@@ -139,7 +146,7 @@ HetPipeReport HetPipe::Run() const {
   std::vector<wsp::VwCommTimes> comm;
   for (const std::vector<int>& gpus : alloc.vw_gpus) {
     partitions.push_back(cache->Solve(partitioner, gpus, popt));
-    comm.push_back(wsp::ComputePsCommTimes(partitions.back(), *cluster_, config_.placement));
+    comm.push_back(wsp::ComputePsCommTimes(partitions.back(), cluster, config_.placement));
   }
 
   sim::Simulator simulator;
@@ -178,16 +185,10 @@ HetPipeReport HetPipe::Run() const {
   double total_idle = 0.0;
   for (int v = 0; v < alloc.num_vws(); ++v) {
     const auto& vw = *vws[static_cast<size_t>(v)];
-    VwReport vr;
+    VwReport vr = Measure(vw, warmup, config_.batch_size, end);
     vr.gpu_ids = alloc.vw_gpus[static_cast<size_t>(v)];
     vr.partition = partitions[static_cast<size_t>(v)];
     vr.max_nm = max_nms[static_cast<size_t>(v)];
-    vr.throughput_img_s = MeasureThroughput(vw, warmup, config_.batch_size);
-    const sim::SimTime warm_time =
-        vw.completion_times().size() > static_cast<size_t>(warmup)
-            ? vw.completion_times()[static_cast<size_t>(warmup)]
-            : 0.0;
-    vr.max_stage_utilization = vw.MaxStageUtilization(warm_time, end);
     vr.wait_s = vw.total_wait_s();
     vr.idle_during_wait_s = vw.IdleDuringWait();
     report.throughput_img_s += vr.throughput_img_s;
@@ -202,26 +203,19 @@ HetPipeReport HetPipe::Run() const {
   return report;
 }
 
-HetPipeReport HetPipe::RunSingleVirtualWorker(const hw::Cluster& cluster,
-                                              const model::ModelGraph& graph,
-                                              const std::vector<int>& gpu_ids, int nm,
-                                              const HetPipeConfig& config) {
-  HetPipeReport report;
-  const model::ModelProfile profile(graph, config.batch_size);
-  const partition::Partitioner partitioner(profile, cluster);
+partition::Partition SolvePartition(const SolveContext& context, const std::vector<int>& gpu_ids,
+                                    int nm, const HetPipeConfig& config) {
+  partition::PartitionOptions options;
+  options.nm = nm;
+  options.mem_params = config.mem_params;
+  options.pool = config.pool;
+  return config.partition_cache != nullptr
+             ? config.partition_cache->Solve(context.partitioner, gpu_ids, options)
+             : context.partitioner.Solve(gpu_ids, options);
+}
 
-  partition::PartitionOptions popt;
-  popt.nm = nm;
-  popt.mem_params = config.mem_params;
-  popt.pool = config.pool;
-  const partition::Partition partition =
-      config.partition_cache != nullptr ? config.partition_cache->Solve(partitioner, gpu_ids, popt)
-                                        : partitioner.Solve(gpu_ids, popt);
-  if (!partition.feasible) {
-    report.infeasible_reason = "partition infeasible at Nm=" + std::to_string(nm);
-    return report;
-  }
-
+VwReport SimulateSingleWorker(const partition::Partition& partition, int nm,
+                              const HetPipeConfig& config) {
   sim::Simulator simulator;
   pipeline::OpenGate gate;
   pipeline::VirtualWorkerOptions vopt;
@@ -233,21 +227,25 @@ HetPipeReport HetPipe::RunSingleVirtualWorker(const hw::Cluster& cluster,
   vw.Start();
   simulator.Run();
 
+  return Measure(vw, config.warmup_waves * nm, config.batch_size, simulator.now());
+}
+
+HetPipeReport HetPipe::RunSingleVirtualWorker(const std::vector<int>& gpu_ids, int nm) const {
+  HetPipeReport report;
+  const partition::Partition partition = SolvePartition(*context_, gpu_ids, nm, config_);
+  if (!partition.feasible) {
+    report.infeasible_reason = "partition infeasible at Nm=" + std::to_string(nm);
+    return report;
+  }
+
+  VwReport vr = SimulateSingleWorker(partition, nm, config_);
+  vr.gpu_ids = gpu_ids;
+  vr.partition = partition;
+  vr.max_nm = nm;
   report.feasible = true;
   report.nm = nm;
   report.s_local = wsp::LocalStaleness(nm);
   report.s_global = -1;
-
-  const int64_t warmup = config.warmup_waves * nm;
-  VwReport vr;
-  vr.gpu_ids = gpu_ids;
-  vr.partition = partition;
-  vr.max_nm = nm;
-  vr.throughput_img_s = MeasureThroughput(vw, warmup, config.batch_size);
-  const sim::SimTime warm_time = vw.completion_times().size() > static_cast<size_t>(warmup)
-                                     ? vw.completion_times()[static_cast<size_t>(warmup)]
-                                     : 0.0;
-  vr.max_stage_utilization = vw.MaxStageUtilization(warm_time, simulator.now());
   report.throughput_img_s = vr.throughput_img_s;
   report.vws.push_back(std::move(vr));
   return report;

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/config.h"
@@ -9,17 +10,29 @@
 #include "model/model_graph.h"
 #include "model/profiler.h"
 #include "partition/partitioner.h"
-#include "pipeline/virtual_worker.h"
-#include "wsp/param_server.h"
 
 namespace hetpipe::core {
 
-// Steady-state throughput (images/s) of a minibatch completion-time series,
-// excluding the first `warmup` completions while the pipeline fills. The one
-// measurement convention shared by HetPipe's report and the partition-only
-// simulations.
-double SteadyStateThroughput(const std::vector<sim::SimTime>& completion_times, int64_t warmup,
-                             int batch_size);
+// The one immutable bundle of what depends only on (cluster, model, batch
+// size): HetPipe profiles a model once per cluster (§7), and every experiment
+// kind, the baselines and the plan daemon reuse that profile. Members point at
+// each other (profile -> graph, partitioner -> profile + cluster), so a
+// context is built in place and never copied or moved; it is safe to share
+// across threads (runner::ContextMemo does).
+struct SolveContext {
+  hw::Cluster cluster;
+  model::ModelGraph graph;
+  model::ModelProfile profile;
+  partition::Partitioner partitioner;
+
+  SolveContext(hw::Cluster built_cluster, model::ModelGraph built_graph, int batch_size)
+      : cluster(std::move(built_cluster)),
+        graph(std::move(built_graph)),
+        profile(graph, batch_size),
+        partitioner(profile, cluster) {}
+
+  int batch_size() const { return profile.batch_size(); }
+};
 
 // Per-virtual-worker results of a run.
 struct VwReport {
@@ -57,27 +70,35 @@ struct HetPipeReport {
   std::string Summary() const;
 };
 
+// The memory-constrained min-max partition of the virtual worker `gpu_ids`
+// at `nm`, through config.partition_cache when it is set.
+partition::Partition SolvePartition(const SolveContext& context, const std::vector<int>& gpu_ids,
+                                    int nm, const HetPipeConfig& config);
+
+// One virtual worker running `partition` with `nm` minibatches in flight and
+// no global gating (Fig. 3 and the partition-only kind): fills the report's
+// steady-state throughput and max stage utilization, warmup excluded.
+VwReport SimulateSingleWorker(const partition::Partition& partition, int nm,
+                              const HetPipeConfig& config);
+
 // HetPipe: allocates GPUs to virtual workers, partitions the model for each,
 // and runs the integrated PMP+DP discrete-event simulation under WSP.
 class HetPipe {
  public:
-  HetPipe(const hw::Cluster& cluster, const model::ModelGraph& graph, HetPipeConfig config);
+  // Runs on `context` (caller-owned, must outlive the HetPipe). Throws
+  // std::invalid_argument when config.batch_size is not the batch size the
+  // context's profile was built for.
+  HetPipe(const SolveContext& context, HetPipeConfig config);
 
   // End-to-end run (Fig. 4 / Table 4 style experiments).
   HetPipeReport Run() const;
 
   // Runs a single virtual worker made of `gpu_ids` with a fixed nm and no
   // global gating — the Fig. 3 experiment.
-  static HetPipeReport RunSingleVirtualWorker(const hw::Cluster& cluster,
-                                              const model::ModelGraph& graph,
-                                              const std::vector<int>& gpu_ids, int nm,
-                                              const HetPipeConfig& config);
-
-  const HetPipeConfig& config() const { return config_; }
+  HetPipeReport RunSingleVirtualWorker(const std::vector<int>& gpu_ids, int nm) const;
 
  private:
-  const hw::Cluster* cluster_;
-  const model::ModelGraph* graph_;
+  const SolveContext* context_;
   HetPipeConfig config_;
 };
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -48,7 +49,8 @@ class SweepRunner {
 
   // Runs every experiment; results[i] belongs to experiments[i]. The sweep's
   // cache and pool are plumbed into each experiment's config unless the
-  // experiment already carries its own.
+  // experiment already carries its own. Experiments with one (cluster,
+  // model, batch size) share a core::SolveContext that dies with the call.
   std::vector<core::ExperimentResult> Run(const std::vector<core::Experiment>& experiments);
 
   // Generic deterministic fan-out for sweeps that are not core::Experiments
@@ -70,6 +72,8 @@ class SweepRunner {
   PartitionCache& cache() { return *cache_; }
   ThreadPool& pool() { return *pool_; }
   ResultSink* sink() { return options_.sink; }
+  // Solving contexts built by every Run so far (one per call and distinct key).
+  int64_t contexts_built() const { return contexts_built_.load(std::memory_order_relaxed); }
 
  private:
   SweepOptions options_;
@@ -77,6 +81,7 @@ class SweepRunner {
   PartitionCache* cache_ = nullptr;
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_ = nullptr;
+  std::atomic<int64_t> contexts_built_{0};
 };
 
 }  // namespace hetpipe::runner

@@ -6,11 +6,7 @@
 #include <utility>
 
 #include "core/experiment.h"
-#include "hw/cluster.h"
-#include "hw/cluster_spec.h"
 #include "hw/gpu_spec.h"
-#include "model/model_graph.h"
-#include "model/profiler.h"
 #include "partition/partitioner.h"
 #include "runner/thread_pool.h"
 
@@ -46,89 +42,35 @@ void FillPartition(const partition::Partition& partition, runner::ResultRow* row
   row->Set("stages", StagesToString(partition));
 }
 
-}  // namespace
-
-// Everything a plan query needs that depends only on (cluster, model,
-// batch_size): the built cluster, the model graph, its profile on that batch
-// size, and a partitioner over both. Members reference each other by pointer
-// (profile -> graph, partitioner -> profile + cluster), so a Context is
-// constructed in place, held by shared_ptr, and never copied or moved.
-// Immutable after construction, hence safe to share across request threads.
-struct PlanService::Context {
-  hw::Cluster cluster;
-  model::ModelGraph graph;
-  model::ModelProfile profile;
-  partition::Partitioner partitioner;
-
-  Context(hw::Cluster built_cluster, model::ModelGraph built_graph, int batch_size)
-      : cluster(std::move(built_cluster)),
-        graph(std::move(built_graph)),
-        profile(graph, batch_size),
-        partitioner(profile, cluster) {}
-};
-
-PlanService::PlanService(runner::PartitionCache* cache, PlanServiceOptions options)
-    : cache_(cache), options_(options) {}
-
-PlanService::~PlanService() = default;
-
-int64_t PlanService::contexts() const {
-  util::ReaderMutexLock lock(contexts_mu_);
-  return static_cast<int64_t>(context_list_.size());
-}
-
-std::shared_ptr<const PlanService::Context> PlanService::GetContext(const PlanRequest& request,
-                                                                    ErrorCode* code,
-                                                                    std::string* error) {
-  const std::string key = (request.cluster_spec.empty() ? "nodes:" + request.cluster_nodes
-                                                        : "spec:" + request.cluster_spec) +
-                          "\n" + request.model + "\n" + std::to_string(request.batch_size);
-  {
-    util::ReaderMutexLock lock(contexts_mu_);
-    for (const auto& [context_key, context] : context_list_) {
-      if (context_key == key) return context;
-    }
-  }
-
-  // Miss: build outside the lock (construction parses a spec and profiles a
-  // model — milliseconds). Two threads racing on one key both build; the
-  // first insert wins and the loser's copy is dropped, which is cheaper than
-  // holding the exclusive lock across a build.
-  core::ModelKind kind;
-  if (request.model == core::ModelName(core::ModelKind::kResNet152)) {
-    kind = core::ModelKind::kResNet152;
-  } else if (request.model == core::ModelName(core::ModelKind::kVgg19)) {
-    kind = core::ModelKind::kVgg19;
-  } else {
+// Returns the memoized context for the request's (cluster, model, batch),
+// building it on first use. Null on failure, with `code`/`error` set.
+std::shared_ptr<const core::SolveContext> GetContext(runner::ContextMemo& contexts,
+                                                     const PlanRequest& request, ErrorCode* code,
+                                                     std::string* error) {
+  core::Experiment context_of;  // describes the context only; never run
+  if (request.model == core::ModelName(core::ModelKind::kVgg19)) {
+    context_of.model = core::ModelKind::kVgg19;
+  } else if (request.model != core::ModelName(core::ModelKind::kResNet152)) {
     *code = ErrorCode::kBadModel;
     *error = "unknown model \"" + request.model + "\" (expected resnet152 or vgg19)";
     return nullptr;
   }
-
-  std::shared_ptr<const Context> built;
+  context_of.cluster_nodes = request.cluster_nodes;
+  context_of.cluster_spec = request.cluster_spec;
+  context_of.config.batch_size = request.batch_size;
   try {
-    hw::Cluster cluster = request.cluster_spec.empty()
-                              ? hw::Cluster::PaperSubset(request.cluster_nodes)
-                              : hw::ClusterSpec::Parse(request.cluster_spec).Build();
-    built = std::make_shared<const Context>(std::move(cluster), core::BuildModel(kind),
-                                            request.batch_size);
+    return contexts.Get(context_of);
   } catch (const std::exception& e) {
     *code = ErrorCode::kBadSpec;
     *error = e.what();
     return nullptr;
   }
-
-  util::WriterMutexLock lock(contexts_mu_);
-  for (const auto& [context_key, context] : context_list_) {
-    if (context_key == key) return context;
-  }
-  context_list_.emplace_back(key, built);
-  while (options_.max_contexts > 0 &&
-         static_cast<int64_t>(context_list_.size()) > options_.max_contexts) {
-    context_list_.pop_front();
-  }
-  return built;
 }
+
+}  // namespace
+
+PlanService::PlanService(runner::PartitionCache* cache, runner::ThreadPool* pool)
+    : cache_(cache), pool_(pool) {}
 
 runner::ResultRow PlanService::Handle(const PlanRequest& request) {
   const auto start = std::chrono::steady_clock::now();
@@ -173,7 +115,8 @@ runner::ResultRow PlanService::Handle(const PlanRequest& request) {
   // plan / max_nm (the only ops ParsePlanRequest lets through).
   ErrorCode code = ErrorCode::kNone;
   std::string error;
-  std::shared_ptr<const Context> context = GetContext(request, &code, &error);
+  std::shared_ptr<const core::SolveContext> context =
+      GetContext(contexts_, request, &code, &error);
   if (!context) {
     fail(code, error);
     return finish();
@@ -190,7 +133,7 @@ runner::ResultRow PlanService::Handle(const PlanRequest& request) {
   partition::PartitionOptions options;
   options.nm = request.nm;
   options.search_gpu_orders = request.search_orders;
-  options.pool = options_.pool;
+  options.pool = pool_;
   // Already validated by ParsePlanRequest; re-parse into the enum here so a
   // Handle() caller that bypassed parsing still gets a defined strategy.
   if (!partition::ParseSearchStrategy(request.strategy, &options.strategy)) {

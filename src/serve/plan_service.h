@@ -2,33 +2,18 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
-#include <memory>
 #include <string>
 
+#include "runner/context_memo.h"
 #include "runner/partition_cache.h"
 #include "runner/result_sink.h"
 #include "serve/protocol.h"
-#include "util/mutex.h"
 
 namespace hetpipe::runner {
 class ThreadPool;
 }  // namespace hetpipe::runner
 
 namespace hetpipe::serve {
-
-struct PlanServiceOptions {
-  // Pool the partitioner's GPU-order search fans out on for cold solves;
-  // null solves serially. The serve server passes its request executor —
-  // ParallelFor from inside a pool worker runs inline, so a request being
-  // handled on the pool degrades to a serial solve instead of deadlocking.
-  runner::ThreadPool* pool = nullptr;
-  // Bound on memoized (cluster, model, batch) contexts; the oldest is
-  // dropped beyond it. Contexts hold a built cluster, a profiled model, and
-  // a partitioner (tens of KiB each), so a service fed adversarially many
-  // distinct specs stays bounded.
-  int64_t max_contexts = 64;
-};
 
 // The request brain of hetpipe_serve, separated from the socket layer so
 // tests (and future transports) can drive it directly: decodes a request,
@@ -38,10 +23,11 @@ struct PlanServiceOptions {
 // runner::RowToJson of that row).
 //
 // Thread-safety: Handle/HandleJson are safe to call concurrently from any
-// number of threads. The context memo is a shared_mutex map (readers
-// concurrent, construction single-writer, built at most once per key), the
-// partition cache does its own locking, and counters are atomics. Responses
-// are value types; nothing returned aliases service state.
+// number of threads. The context memo (runner::ContextMemo, bounded at
+// ContextMemo::kCapacity so a service fed adversarially many distinct specs
+// stays bounded) and the partition cache do their own locking, and counters
+// are atomics. Responses are value types; nothing returned aliases service
+// state.
 //
 // Results are deterministic: the same request always produces the same
 // partition (the cache returns bit-identical partitions hit or miss), so a
@@ -49,9 +35,12 @@ struct PlanServiceOptions {
 class PlanService {
  public:
   // `cache` is the shared partition memo (caller-owned, must outlive the
-  // service); it is what makes repeated plan queries cheap.
-  PlanService(runner::PartitionCache* cache, PlanServiceOptions options = {});
-  ~PlanService();
+  // service); it is what makes repeated plan queries cheap. `pool` is what
+  // the partitioner's GPU-order search fans out on for cold solves; null
+  // solves serially. The serve server passes its request executor —
+  // ParallelFor from inside a pool worker runs inline, so a request being
+  // handled on the pool degrades to a serial solve instead of deadlocking.
+  explicit PlanService(runner::PartitionCache* cache, runner::ThreadPool* pool = nullptr);
 
   PlanService(const PlanService&) = delete;
   PlanService& operator=(const PlanService&) = delete;
@@ -69,27 +58,15 @@ class PlanService {
   int64_t requests() const { return requests_.load(std::memory_order_relaxed); }
   int64_t errors() const { return errors_.load(std::memory_order_relaxed); }
   // Contexts currently memoized.
-  int64_t contexts() const;
-
-  runner::PartitionCache* cache() { return cache_; }
+  int64_t contexts() const { return contexts_.size(); }
 
  private:
-  struct Context;
-
-  // Returns the memoized context for the request's (cluster, model, batch),
-  // building it on first use. Null on failure, with `code`/`error` set.
-  std::shared_ptr<const Context> GetContext(const PlanRequest& request, ErrorCode* code,
-                                            std::string* error);
-
   runner::PartitionCache* cache_;
-  PlanServiceOptions options_;
-
-  mutable util::SharedMutex contexts_mu_;
-  // Key -> context, with insertion order tracked for FIFO eviction (a plan
+  runner::ThreadPool* pool_;
+  // (cluster, model, batch) -> solving context, FIFO-evicted (a plan
   // service's working set is a handful of clusters; LRU precision is not
   // worth per-read writes here).
-  std::list<std::pair<std::string, std::shared_ptr<const Context>>> context_list_
-      GUARDED_BY(contexts_mu_);
+  runner::ContextMemo contexts_;
 
   std::atomic<int64_t> requests_{0};
   std::atomic<int64_t> errors_{0};

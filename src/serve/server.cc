@@ -14,15 +14,6 @@
 #include "runner/result_sink.h"
 
 namespace hetpipe::serve {
-namespace {
-
-PlanServiceOptions ServiceOptions(runner::ThreadPool* pool) {
-  PlanServiceOptions options;
-  options.pool = pool;
-  return options;
-}
-
-}  // namespace
 
 PlanServer::PlanServer(runner::PartitionCache* cache, PlanServerOptions options)
     : cache_(cache),
@@ -30,7 +21,7 @@ PlanServer::PlanServer(runner::PartitionCache* cache, PlanServerOptions options)
       // k pool threads = k - 1 dedicated workers; at least one worker must
       // exist or Submit would run connections inline on the accept loop.
       pool_(options_.threads <= 0 ? 0 : (options_.threads < 2 ? 2 : options_.threads)),
-      service_(cache, ServiceOptions(&pool_)) {}
+      service_(cache, &pool_) {}
 
 PlanServer::~PlanServer() {
   RequestShutdown();

@@ -12,16 +12,19 @@
 #include <chrono>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/experiment.h"
 #include "hw/cluster.h"
 #include "hw/cluster_spec.h"
 #include "model/profiler.h"
 #include "model/resnet.h"
 #include "partition/partitioner.h"
+#include "runner/context_memo.h"
 #include "runner/partition_cache.h"
 #include "runner/thread_pool.h"
 #include "serve/client.h"
@@ -222,6 +225,35 @@ TEST(PartitionCacheStressTest, FirstLookupsRaceOnTheKeyContextMemo) {
   EXPECT_EQ(cache.hits() + cache.misses(), 8 * static_cast<int64_t>(expected.size()));
   EXPECT_EQ(partitioner.ContextFingerprint(),
             partition::Partitioner(profile, cluster).ContextFingerprint());
+}
+
+TEST(ContextMemoStressTest, EightThreadsOnOneColdKeyShareOneContext) {
+  // Eight threads start together and Get one cold key (the default
+  // experiment's paper cluster, ResNet-152, batch 32): each may build, since
+  // the build runs outside the lock, but the first insert wins, so every
+  // thread receives the same context and the memo holds one entry.
+  ContextMemo memo;
+  std::atomic<int> ready{0};
+  std::vector<std::shared_ptr<const core::SolveContext>> got(8);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < got.size(); ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < 8) {
+        std::this_thread::yield();
+      }
+      got[t] = memo.Get(core::Experiment());
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  ASSERT_NE(got[0], nullptr);
+  for (const auto& context : got) {
+    EXPECT_EQ(context, got[0]);
+  }
+  EXPECT_EQ(memo.size(), 1);
+  EXPECT_EQ(memo.inserted(), 1);
 }
 
 TEST(PartitionCacheStressTest, OverlappingSavesToOnePathLeaveALoadableFile) {

@@ -20,8 +20,8 @@ class ConfigSweepTest : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(ConfigSweepTest, RunsAndSatisfiesInvariants) {
   const auto [vgg, allocation, placement, d] = GetParam();
-  const hw::Cluster cluster = hw::Cluster::Paper();
-  const model::ModelGraph graph = vgg ? model::BuildVgg19() : model::BuildResNet152();
+  const SolveContext context(hw::Cluster::Paper(),
+                             vgg ? model::BuildVgg19() : model::BuildResNet152(), 32);
 
   HetPipeConfig config;
   config.allocation = allocation;
@@ -31,7 +31,7 @@ TEST_P(ConfigSweepTest, RunsAndSatisfiesInvariants) {
   config.waves = 12;
   config.warmup_waves = 2;
 
-  const HetPipeReport report = HetPipe(cluster, graph, config).Run();
+  const HetPipeReport report = HetPipe(context, config).Run();
   ASSERT_TRUE(report.feasible) << report.infeasible_reason;
   EXPECT_GT(report.throughput_img_s, 0.0);
   EXPECT_GE(report.nm, 1);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "core/convergence.h"
 #include "core/experiment.h"
@@ -19,12 +20,11 @@ HetPipeConfig FastConfig() {
 }
 
 TEST(HetPipeTest, EdLocalResNetRuns) {
-  const hw::Cluster cluster = hw::Cluster::Paper();
-  const model::ModelGraph graph = model::BuildResNet152();
+  const SolveContext context(hw::Cluster::Paper(), model::BuildResNet152(), 32);
   HetPipeConfig config = FastConfig();
   config.allocation = cluster::AllocationPolicy::kEqualDistribution;
   config.placement = wsp::PlacementPolicy::kLocal;
-  const HetPipeReport report = HetPipe(cluster, graph, config).Run();
+  const HetPipeReport report = HetPipe(context, config).Run();
   ASSERT_TRUE(report.feasible) << report.infeasible_reason;
   EXPECT_EQ(report.vws.size(), 4u);
   EXPECT_GT(report.throughput_img_s, 0.0);
@@ -33,18 +33,16 @@ TEST(HetPipeTest, EdLocalResNetRuns) {
 }
 
 TEST(HetPipeTest, NmOverrideCapsNm) {
-  const hw::Cluster cluster = hw::Cluster::Paper();
-  const model::ModelGraph graph = model::BuildResNet152();
+  const SolveContext context(hw::Cluster::Paper(), model::BuildResNet152(), 32);
   HetPipeConfig config = FastConfig();
   config.nm = 2;
-  const HetPipeReport report = HetPipe(cluster, graph, config).Run();
+  const HetPipeReport report = HetPipe(context, config).Run();
   ASSERT_TRUE(report.feasible);
   EXPECT_EQ(report.nm, 2);
 }
 
 TEST(HetPipeTest, NpBoundByWhimpyVirtualWorker) {
-  const hw::Cluster cluster = hw::Cluster::Paper();
-  const model::ModelGraph graph = model::BuildResNet152();
+  const SolveContext context(hw::Cluster::Paper(), model::BuildResNet152(), 64);
   // Batch 64 makes the GGGG virtual worker's 6 GiB GPUs the binding
   // constraint, as in the paper's observation.
   HetPipeConfig np = FastConfig();
@@ -52,8 +50,8 @@ TEST(HetPipeTest, NpBoundByWhimpyVirtualWorker) {
   np.allocation = cluster::AllocationPolicy::kNodePartition;
   HetPipeConfig ed = np;
   ed.allocation = cluster::AllocationPolicy::kEqualDistribution;
-  const HetPipeReport np_report = HetPipe(cluster, graph, np).Run();
-  const HetPipeReport ed_report = HetPipe(cluster, graph, ed).Run();
+  const HetPipeReport np_report = HetPipe(context, np).Run();
+  const HetPipeReport ed_report = HetPipe(context, ed).Run();
   ASSERT_TRUE(np_report.feasible);
   ASSERT_TRUE(ed_report.feasible);
   // §8.3: "With NP, training performance ... is low as Nm is bounded by the
@@ -64,11 +62,10 @@ TEST(HetPipeTest, NpBoundByWhimpyVirtualWorker) {
 }
 
 TEST(HetPipeTest, AllVwsRunAllWaves) {
-  const hw::Cluster cluster = hw::Cluster::Paper();
-  const model::ModelGraph graph = model::BuildVgg19();
+  const SolveContext context(hw::Cluster::Paper(), model::BuildVgg19(), 32);
   HetPipeConfig config = FastConfig();
   config.placement = wsp::PlacementPolicy::kLocal;
-  const HetPipeReport report = HetPipe(cluster, graph, config).Run();
+  const HetPipeReport report = HetPipe(context, config).Run();
   ASSERT_TRUE(report.feasible);
   for (const VwReport& vw : report.vws) {
     EXPECT_GT(vw.throughput_img_s, 0.0);
@@ -78,22 +75,31 @@ TEST(HetPipeTest, AllVwsRunAllWaves) {
 }
 
 TEST(HetPipeTest, DeterministicWithoutJitter) {
-  const hw::Cluster cluster = hw::Cluster::Paper();
-  const model::ModelGraph graph = model::BuildResNet152();
+  const SolveContext context(hw::Cluster::Paper(), model::BuildResNet152(), 32);
   HetPipeConfig config = FastConfig();
-  const double a = HetPipe(cluster, graph, config).Run().throughput_img_s;
-  const double b = HetPipe(cluster, graph, config).Run().throughput_img_s;
+  const double a = HetPipe(context, config).Run().throughput_img_s;
+  const double b = HetPipe(context, config).Run().throughput_img_s;
   EXPECT_DOUBLE_EQ(a, b);
 }
 
+TEST(HetPipeTest, RejectsABatchSizeOtherThanTheContexts) {
+  // The context's profile fixes the minibatch size: a config asking for
+  // another one would mix batch-16 stage times with batch-32 throughput.
+  const SolveContext context(hw::Cluster::Paper(), model::BuildResNet152(), 16);
+  HetPipeConfig config = FastConfig();
+  EXPECT_THROW(HetPipe(context, config), std::invalid_argument);
+  config.batch_size = 16;
+  EXPECT_TRUE(HetPipe(context, config).Run().feasible);
+  EXPECT_TRUE(HetPipe(context, config).RunSingleVirtualWorker({0, 4, 8, 12}, 2).feasible);
+}
+
 TEST(HetPipeTest, SingleVirtualWorkerInfeasibleNmReported) {
-  const hw::Cluster cluster = hw::Cluster::Paper();
-  const model::ModelGraph graph = model::BuildResNet152();
+  const SolveContext context(hw::Cluster::Paper(), model::BuildResNet152(), 64);
   HetPipeConfig config = FastConfig();
   config.batch_size = 64;
   // GGGG at Nm=7, batch 64 exceeds the 6 GiB RTX 2060s.
   const HetPipeReport report =
-      HetPipe::RunSingleVirtualWorker(cluster, graph, {8, 9, 10, 11}, 7, config);
+      HetPipe(context, config).RunSingleVirtualWorker({8, 9, 10, 11}, 7);
   EXPECT_FALSE(report.feasible);
   EXPECT_FALSE(report.infeasible_reason.empty());
 }

@@ -24,34 +24,30 @@ HetPipeConfig EdLocal(int d, double jitter) {
 TEST(IntegrationTest, EdLocalBeatsNpForResNet) {
   // Fig. 4a: NP is bound by the GGGG virtual worker; ED with local placement
   // is the best HetPipe configuration.
-  const hw::Cluster cluster = hw::Cluster::Paper();
-  const model::ModelGraph graph = model::BuildResNet152();
+  const SolveContext context(hw::Cluster::Paper(), model::BuildResNet152(), 32);
   HetPipeConfig np = EdLocal(0, 0.0);
   np.allocation = cluster::AllocationPolicy::kNodePartition;
   np.placement = wsp::PlacementPolicy::kRoundRobin;
-  const double np_thr = HetPipe(cluster, graph, np).Run().throughput_img_s;
-  const double ed_thr = HetPipe(cluster, graph, EdLocal(0, 0.0)).Run().throughput_img_s;
+  const double np_thr = HetPipe(context, np).Run().throughput_img_s;
+  const double ed_thr = HetPipe(context, EdLocal(0, 0.0)).Run().throughput_img_s;
   EXPECT_GT(ed_thr, np_thr);
 }
 
 TEST(IntegrationTest, EdLocalBeatsHorovodOnBothModels) {
   // §8.3: ED-local is 1.8x Horovod for VGG-19 and ~1.4x for ResNet-152.
-  const hw::Cluster cluster = hw::Cluster::Paper();
   for (const bool vgg : {true, false}) {
-    const model::ModelGraph graph = vgg ? model::BuildVgg19() : model::BuildResNet152();
-    const model::ModelProfile profile(graph, 32);
-    const dp::HorovodResult horovod = dp::SimulateHorovod(cluster, profile);
-    const double hetpipe = HetPipe(cluster, graph, EdLocal(0, 0.0)).Run().throughput_img_s;
-    EXPECT_GT(hetpipe, horovod.throughput_img_s) << graph.name();
+    const SolveContext context(hw::Cluster::Paper(),
+                               vgg ? model::BuildVgg19() : model::BuildResNet152(), 32);
+    const dp::HorovodResult horovod = dp::SimulateHorovod(context.cluster, context.profile);
+    const double hetpipe = HetPipe(context, EdLocal(0, 0.0)).Run().throughput_img_s;
+    EXPECT_GT(hetpipe, horovod.throughput_img_s) << context.graph.name();
   }
 }
 
 TEST(IntegrationTest, VggSpeedupOverHorovodRoughly1_8x) {
-  const hw::Cluster cluster = hw::Cluster::Paper();
-  const model::ModelGraph graph = model::BuildVgg19();
-  const model::ModelProfile profile(graph, 32);
-  const dp::HorovodResult horovod = dp::SimulateHorovod(cluster, profile);
-  const double hetpipe = HetPipe(cluster, graph, EdLocal(0, 0.0)).Run().throughput_img_s;
+  const SolveContext context(hw::Cluster::Paper(), model::BuildVgg19(), 32);
+  const dp::HorovodResult horovod = dp::SimulateHorovod(context.cluster, context.profile);
+  const double hetpipe = HetPipe(context, EdLocal(0, 0.0)).Run().throughput_img_s;
   const double ratio = hetpipe / horovod.throughput_img_s;
   EXPECT_GT(ratio, 1.3);
   EXPECT_LT(ratio, 2.6);

@@ -131,36 +131,33 @@ TEST(RobustnessTest, CoordinatorWithSingleVwNeverBlocks) {
 }
 
 TEST(RobustnessTest, HugeDNeverBlocksWithinRun) {
-  const hw::Cluster cluster = hw::Cluster::Paper();
-  const model::ModelGraph graph = model::BuildVgg19();
+  const core::SolveContext context(hw::Cluster::Paper(), model::BuildVgg19(), 32);
   core::HetPipeConfig config;
   config.allocation = cluster::AllocationPolicy::kEqualDistribution;
   config.placement = wsp::PlacementPolicy::kLocal;
   config.sync = wsp::SyncPolicy::Wsp(1 << 20);
   config.waves = 15;
-  const core::HetPipeReport report = core::HetPipe(cluster, graph, config).Run();
+  const core::HetPipeReport report = core::HetPipe(context, config).Run();
   ASSERT_TRUE(report.feasible);
   EXPECT_EQ(report.total_wait_s, 0.0);
 }
 
 TEST(RobustnessTest, AspMatchesHugeDThroughput) {
-  const hw::Cluster cluster = hw::Cluster::Paper();
-  const model::ModelGraph graph = model::BuildResNet152();
+  const core::SolveContext context(hw::Cluster::Paper(), model::BuildResNet152(), 32);
   core::HetPipeConfig wsp_cfg;
   wsp_cfg.sync = wsp::SyncPolicy::Wsp(1 << 20);
   wsp_cfg.waves = 15;
   core::HetPipeConfig asp_cfg = wsp_cfg;
   asp_cfg.sync = wsp::SyncPolicy::Asp();
-  const double a = core::HetPipe(cluster, graph, wsp_cfg).Run().throughput_img_s;
-  const double b = core::HetPipe(cluster, graph, asp_cfg).Run().throughput_img_s;
+  const double a = core::HetPipe(context, wsp_cfg).Run().throughput_img_s;
+  const double b = core::HetPipe(context, asp_cfg).Run().throughput_img_s;
   EXPECT_NEAR(a, b, a * 0.01);
 }
 
 TEST(RobustnessTest, ClockDistanceStaysNearDBound) {
   // With gating at threshold D, the observed clock distance can exceed D
   // only by the in-flight slack (pushes in transit), never unboundedly.
-  const hw::Cluster cluster = hw::Cluster::Paper();
-  const model::ModelGraph graph = model::BuildResNet152();
+  const core::SolveContext context(hw::Cluster::Paper(), model::BuildResNet152(), 32);
   for (int d : {0, 2}) {
     core::HetPipeConfig config;
     config.allocation = cluster::AllocationPolicy::kEqualDistribution;
@@ -170,7 +167,7 @@ TEST(RobustnessTest, ClockDistanceStaysNearDBound) {
     config.drift_cv = 0.3;
     config.speed_bias_cv = 0.1;
     config.waves = 30;
-    const core::HetPipeReport report = core::HetPipe(cluster, graph, config).Run();
+    const core::HetPipeReport report = core::HetPipe(context, config).Run();
     ASSERT_TRUE(report.feasible);
     EXPECT_LE(report.avg_clock_distance, d + 2.5) << "D=" << d;
   }
@@ -195,13 +192,12 @@ TEST(RobustnessTest, TinyModelStillPartitions) {
 }
 
 TEST(RobustnessTest, BertLargeEndToEnd) {
-  const hw::Cluster cluster = hw::Cluster::Paper();
-  const model::ModelGraph graph = model::BuildBertLarge(256);
+  const core::SolveContext context(hw::Cluster::Paper(), model::BuildBertLarge(256), 32);
   core::HetPipeConfig config;
   config.allocation = cluster::AllocationPolicy::kEqualDistribution;
   config.placement = wsp::PlacementPolicy::kLocal;
   config.waves = 10;
-  const core::HetPipeReport report = core::HetPipe(cluster, graph, config).Run();
+  const core::HetPipeReport report = core::HetPipe(context, config).Run();
   ASSERT_TRUE(report.feasible) << report.infeasible_reason;
   EXPECT_GT(report.throughput_img_s, 0.0);
 }
@@ -224,19 +220,18 @@ TEST(RobustnessTest, HorovodInfeasibleModelReported) {
 // ---- Determinism under heavy stochastic load. ----
 
 TEST(RobustnessTest, FullRunDeterministicWithAllNoiseSources) {
-  const hw::Cluster cluster = hw::Cluster::Paper();
-  const model::ModelGraph graph = model::BuildVgg19();
+  const core::SolveContext context(hw::Cluster::Paper(), model::BuildVgg19(), 32);
   core::HetPipeConfig config;
   config.jitter_cv = 0.3;
   config.drift_cv = 0.3;
   config.speed_bias_cv = 0.1;
   config.seed = 777;
   config.waves = 20;
-  const double a = core::HetPipe(cluster, graph, config).Run().throughput_img_s;
-  const double b = core::HetPipe(cluster, graph, config).Run().throughput_img_s;
+  const double a = core::HetPipe(context, config).Run().throughput_img_s;
+  const double b = core::HetPipe(context, config).Run().throughput_img_s;
   EXPECT_DOUBLE_EQ(a, b);
   config.seed = 778;
-  const double c = core::HetPipe(cluster, graph, config).Run().throughput_img_s;
+  const double c = core::HetPipe(context, config).Run().throughput_img_s;
   EXPECT_NE(a, c);
 }
 

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <set>
@@ -19,10 +20,13 @@
 #include "core/experiment.h"
 #include "hw/cluster.h"
 #include "hw/cluster_spec.h"
+#include "model/layer.h"
 #include "model/resnet.h"
+#include "model/transformer.h"
 #include "model/vgg.h"
 #include "partition/partitioner.h"
 #include "runner/cli.h"
+#include "runner/context_memo.h"
 #include "runner/partition_cache.h"
 #include "runner/result_sink.h"
 #include "runner/sweep_runner.h"
@@ -1337,12 +1341,11 @@ TEST(SweepRunnerTest, FullClusterExperimentsMatchDirectHetPipeRun) {
   SweepRunner sweep(options);
   const auto results = sweep.Run({e, e, e});
 
-  const hw::Cluster cluster = hw::Cluster::Paper();
-  const model::ModelGraph graph = model::BuildVgg19();
+  const core::SolveContext context(hw::Cluster::Paper(), model::BuildVgg19(), 32);
   core::HetPipeConfig config = e.config;
   config.partition_cache = nullptr;
   config.pool = nullptr;
-  const core::HetPipeReport direct = core::HetPipe(cluster, graph, config).Run();
+  const core::HetPipeReport direct = core::HetPipe(context, config).Run();
 
   for (const auto& r : results) {
     ASSERT_TRUE(r.feasible);
@@ -1350,6 +1353,209 @@ TEST(SweepRunnerTest, FullClusterExperimentsMatchDirectHetPipeRun) {
     EXPECT_EQ(r.report.nm, direct.nm);
     EXPECT_EQ(r.report.avg_clock_distance, direct.avg_clock_distance);
   }
+}
+
+
+// ---- Solving contexts: one per (cluster, model or graph, batch) per Run ----
+
+// Sixteen experiments of every kind on one cluster and one model, like one
+// perfbench sweep job.
+std::vector<core::Experiment> OneClusterOneModelJob() {
+  std::vector<core::Experiment> job;
+  auto add = [&](core::ExperimentKind kind) -> core::Experiment& {
+    core::Experiment e;
+    e.kind = kind;
+    e.model = core::ModelKind::kResNet152;
+    e.config.waves = 6;
+    e.config.warmup_waves = 1;
+    job.push_back(std::move(e));
+    return job.back();
+  };
+  for (cluster::AllocationPolicy policy :
+       {cluster::AllocationPolicy::kNodePartition, cluster::AllocationPolicy::kEqualDistribution,
+        cluster::AllocationPolicy::kHybridDistribution}) {
+    add(core::ExperimentKind::kFullCluster).config.allocation = policy;
+  }
+  for (int nm = 1; nm <= 4; ++nm) {
+    core::Experiment& e = add(core::ExperimentKind::kSingleVirtualWorker);
+    e.vw_codes = "VRGQ";
+    e.config.nm = nm;
+  }
+  for (core::PartitionStrategy strategy :
+       {core::PartitionStrategy::kMinMaxDp, core::PartitionStrategy::kEqualLayers,
+        core::PartitionStrategy::kParamBalanced}) {
+    for (const char* codes : {"VVQQ", "RRGG"}) {
+      core::Experiment& e = add(core::ExperimentKind::kPartitionOnly);
+      e.vw_codes = codes;
+      e.strategy = strategy;
+      e.config.nm = 2;
+    }
+  }
+  add(core::ExperimentKind::kHorovod);
+  add(core::ExperimentKind::kPsDataParallel).ps.mode = dp::PsSyncMode::kSsp;
+  add(core::ExperimentKind::kAdPsgd);
+  return job;
+}
+
+model::ModelGraph SmallGenericGraph() {
+  model::TransformerConfig c;
+  c.name = "mini-transformer";
+  c.layers = 6;
+  c.hidden = 256;
+  c.ffn_hidden = 1024;
+  return model::BuildTransformer(c);
+}
+
+// Every experiment kind over two clusters (paper nodes and a spec-built
+// one), both paper models plus the caller-owned generic graph `generic`, and
+// batch sizes 16 and 32: 12 distinct contexts, two experiments each.
+std::vector<core::Experiment> MixedJob(const model::ModelGraph& generic) {
+  const core::ExperimentKind kKinds[] = {
+      core::ExperimentKind::kFullCluster,   core::ExperimentKind::kSingleVirtualWorker,
+      core::ExperimentKind::kPartitionOnly, core::ExperimentKind::kHorovod,
+      core::ExperimentKind::kPsDataParallel, core::ExperimentKind::kAdPsgd};
+  std::vector<core::Experiment> job;
+  size_t next_kind = 0;
+  for (const bool spec : {false, true}) {
+    for (int model = 0; model < 3; ++model) {
+      for (const int batch : {16, 32}) {
+        for (int copy = 0; copy < 2; ++copy) {
+          core::Experiment e;
+          e.kind = kKinds[next_kind++ % std::size(kKinds)];
+          if (model == 2) {
+            e.UseGraph(generic);
+          } else {
+            e.model = model == 0 ? core::ModelKind::kResNet152 : core::ModelKind::kVgg19;
+          }
+          if (spec) {
+            e.cluster_spec = "gpu MixJobCard tflops=9 mem=16; node 2xV; node 2xMixJobCard";
+            e.cluster_label = "mixjob";
+            e.vw_codes = "V,MixJobCard";
+          } else {
+            e.cluster_nodes = "VRQ";
+            e.vw_codes = "VRQ";
+          }
+          e.strategy = copy == 0 ? core::PartitionStrategy::kMinMaxDp
+                                 : core::PartitionStrategy::kEqualLayers;
+          e.config.batch_size = batch;
+          e.config.nm = 2;
+          e.config.waves = 6;
+          e.config.warmup_waves = 1;
+          e.config.jitter_cv = 0.05;
+          job.push_back(std::move(e));
+        }
+      }
+    }
+  }
+  return job;
+}
+
+std::vector<std::string> RowsOf(const std::vector<core::Experiment>& experiments,
+                                const std::vector<core::ExperimentResult>& results) {
+  std::vector<std::string> rows;
+  for (size_t i = 0; i < experiments.size(); ++i) {
+    rows.push_back(RowToJson(RowFor(experiments[i], results[i])));
+  }
+  return rows;
+}
+
+TEST(SweepRunnerTest, OneClusterOneModelJobBuildsOneContext) {
+  const std::vector<core::Experiment> job = OneClusterOneModelJob();
+  ASSERT_EQ(job.size(), 16u);
+  SweepOptions options;
+  options.threads = 4;
+  SweepRunner sweep(options);
+  EXPECT_EQ(sweep.contexts_built(), 0);
+  sweep.Run(job);
+  EXPECT_EQ(sweep.contexts_built(), 1);
+}
+
+TEST(SweepRunnerTest, MixedJobBuildsOneContextPerDistinctKeyAndNoneOutlivesRun) {
+  const model::ModelGraph generic = SmallGenericGraph();
+  const std::vector<core::Experiment> job = MixedJob(generic);
+  ASSERT_EQ(job.size(), 24u);
+  SweepOptions options;
+  options.threads = 4;
+  SweepRunner sweep(options);
+  sweep.Run(job);
+  EXPECT_EQ(sweep.contexts_built(), 12);
+  // No context outlives Run: the same job on the same runner builds them all
+  // again.
+  sweep.Run(job);
+  EXPECT_EQ(sweep.contexts_built(), 24);
+}
+
+TEST(SweepRunnerTest, MixedJobRowsMatchPerExperimentRunsByteForByte) {
+  const model::ModelGraph generic = SmallGenericGraph();
+  const std::vector<core::Experiment> job = MixedJob(generic);
+
+  // Ground truth: each experiment on a context built for it alone, with no
+  // cache and no pool.
+  std::vector<core::ExperimentResult> direct;
+  for (const core::Experiment& e : job) {
+    direct.push_back(core::RunExperiment(e));
+  }
+  const std::vector<std::string> expected = RowsOf(job, direct);
+  for (const core::ExperimentResult& r : direct) {
+    EXPECT_TRUE(r.feasible) << r.name;
+  }
+
+  for (const int threads : {1, 4}) {
+    SweepOptions options;
+    options.threads = threads;
+    SweepRunner sweep(options);
+    const std::vector<std::string> rows = RowsOf(job, sweep.Run(job));
+    ASSERT_EQ(rows.size(), expected.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(rows[i], expected[i]) << "threads=" << threads << " row " << i;
+    }
+  }
+}
+
+TEST(ContextMemoTest, EvictsTheOldestInsertBeyondCapacity) {
+  std::vector<model::Layer> layers;
+  for (int i = 0; i < 3; ++i) {
+    layers.push_back(model::MakeConv("c" + std::to_string(i), 3, 8, 8, 16, 16));
+  }
+  const model::ModelGraph tiny("tiny", model::ModelFamily::kGeneric, std::move(layers));
+  auto experiment = [&](int64_t batch) {
+    core::Experiment e;
+    e.UseGraph(tiny);
+    e.cluster_nodes = "V";
+    e.config.batch_size = static_cast<int>(batch);
+    return e;
+  };
+
+  ContextMemo memo;
+  const int64_t n = ContextMemo::kCapacity + 1;
+  for (int64_t batch = 1; batch <= n; ++batch) {
+    EXPECT_EQ(memo.Get(experiment(batch))->batch_size(), batch);
+  }
+  EXPECT_EQ(memo.inserted(), n);
+  EXPECT_EQ(memo.size(), ContextMemo::kCapacity);
+
+  // Batches 2..65 are held; batch 1, the oldest insert, was dropped.
+  const std::shared_ptr<const core::SolveContext> held = memo.Get(experiment(2));
+  EXPECT_EQ(memo.Get(experiment(2)), held);
+  EXPECT_EQ(memo.inserted(), n);
+  EXPECT_EQ(memo.Get(experiment(1))->batch_size(), 1);
+  EXPECT_EQ(memo.inserted(), n + 1);
+  EXPECT_EQ(memo.size(), ContextMemo::kCapacity);
+  // Rebuilding batch 1 dropped batch 2; the caller's pointer keeps it alive.
+  EXPECT_NE(memo.Get(experiment(2)), held);
+  EXPECT_EQ(memo.inserted(), n + 2);
+  EXPECT_EQ(held->batch_size(), 2);
+}
+
+TEST(ContextMemoTest, AFailedBuildInsertsNothing) {
+  ContextMemo memo;
+  core::Experiment bad;
+  bad.cluster_spec = "node 4xNoSuchMemoClass";
+  EXPECT_THROW(memo.Get(bad), std::invalid_argument);
+  EXPECT_EQ(memo.size(), 0);
+  EXPECT_EQ(memo.inserted(), 0);
+  EXPECT_EQ(memo.Get(core::Experiment())->batch_size(), 32);
+  EXPECT_EQ(memo.size(), 1);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <string>
 #include <random>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "core/experiment.h"
@@ -214,6 +215,42 @@ TEST(PlanServiceTest, PlanHitsCacheOnRepeat) {
   EXPECT_EQ(service.requests(), 2);
   EXPECT_EQ(service.errors(), 0);
   EXPECT_EQ(service.contexts(), 1);
+}
+
+TEST(PlanServiceTest, ContextMemoIsAFifoBoundedAt64) {
+  // Sixty-five distinct specs fill the context memo past its bound; the
+  // oldest is dropped, and re-sending it rebuilds a context that answers
+  // exactly what the first one did. A one-entry partition cache makes the
+  // re-sent plan a cold solve too, so only the latency may differ.
+  runner::PartitionCache cache;
+  cache.SetCapacity(1);
+  PlanService service(&cache);
+  auto request_for = [](int i) {
+    PlanRequest request;
+    request.selector = "VVQQ";
+    request.cluster_spec = "node 4xV; node 4xQ; inter_gbits " + std::to_string(10 + i);
+    return request;
+  };
+  auto without_latency = [](const runner::ResultRow& row) {
+    runner::ResultRow out;
+    for (const auto& field : row.fields()) {
+      if (field.first == "latency_us") continue;
+      std::visit([&](const auto& v) { out.Set(field.first, v); }, field.second);
+    }
+    return runner::RowToJson(out);
+  };
+
+  const runner::ResultRow first = service.Handle(request_for(0));
+  ASSERT_EQ(first.Get("ok"), "true") << first.Get("error");
+  for (int i = 1; i < 65; ++i) {
+    ASSERT_EQ(service.Handle(request_for(i)).Get("ok"), "true") << i;
+  }
+  EXPECT_EQ(service.contexts(), 64);
+
+  const runner::ResultRow again = service.Handle(request_for(0));
+  EXPECT_EQ(service.contexts(), 64);
+  EXPECT_EQ(again.Get("cache_hit"), "false");
+  EXPECT_EQ(without_latency(again), without_latency(first));
 }
 
 TEST(PlanServiceTest, PlanMatchesDirectPartitioner) {
